@@ -5,7 +5,10 @@ The greedy matcher walks predictions in descending score order and pairs
 each with its best same-class unmatched ground truth under the chosen
 similarity, keeping only pairs that pass the threshold. That mirrors the
 usual detection-evaluation convention and is what the stage classifier and
-the recall metrics share.
+the recall metrics share, through :func:`match_thresholds`. The walk sorts
+the feasible (prediction, ground truth) pairs once by (score rank, sigma,
+ground-truth index) and keeps each pair whose two ends are both still
+open, so every prediction gets its first open pair, i.e. its best one.
 """
 
 from __future__ import annotations
@@ -104,36 +107,21 @@ def greedy_match_matrix(
     visit order.
     """
     n_pred, n_gt = sigma.shape
-    if n_pred == 0 or n_gt == 0:
-        return []
-    order = np.argsort(-np.asarray(pred_scores, dtype=np.float64), kind="stable")
-    all_gt = np.arange(n_gt)
+    feasible = sigma > eta if larger_is_better else sigma < eta
     if class_consistent:
-        gt_by_class = {int(c): np.flatnonzero(gt_classes == c) for c in set(gt_classes.tolist())}
-    unmatched = np.ones(n_gt, dtype=bool)
-    remaining = n_gt
+        feasible &= np.asarray(pred_classes)[:, None] == np.asarray(gt_classes)[None, :]
+    rows, cols = np.nonzero(feasible)
+    vals = sigma[rows, cols]
+    rank = np.empty(n_pred, dtype=np.int64)
+    rank[np.argsort(-np.asarray(pred_scores, dtype=np.float64), kind="stable")] = np.arange(n_pred)
+    order = np.lexsort((cols, -vals if larger_is_better else vals, rank[rows]))
+    pred_open = [True] * n_pred
+    gt_open = [True] * n_gt
     pairs: list[tuple[int, int, float]] = []
-    for i in order.tolist():
-        if remaining == 0:
-            break
-        pool = gt_by_class.get(int(pred_classes[i])) if class_consistent else all_gt
-        if pool is None or pool.size == 0:
-            continue
-        open_gt = pool[unmatched[pool]]
-        if open_gt.size == 0:
-            continue
-        row = sigma[i, open_gt]
-        passes = row > eta if larger_is_better else row < eta
-        if not passes.any():
-            continue
-        feasible = open_gt[passes]
-        vals = row[passes]
-        # argmin/argmax take the first occurrence, i.e. the lowest gt index.
-        at = int(np.argmax(vals)) if larger_is_better else int(np.argmin(vals))
-        j = int(feasible[at])
-        pairs.append((j, int(i), float(vals[at])))
-        unmatched[j] = False
-        remaining -= 1
+    for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()):
+        if pred_open[i] and gt_open[j]:
+            pred_open[i] = gt_open[j] = False
+            pairs.append((j, i, v))
     return pairs
 
 
@@ -153,6 +141,36 @@ def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) ->
         for j, g in enumerate(gts):
             out[i, j] = rotated_iou_bev(p, g)
     return out
+
+
+def match_thresholds(
+    preds: Sequence,
+    gts: Sequence[BevBox],
+    thresholds: Sequence[float],
+    metric: MatchMetric = MatchMetric.CENTER_DISTANCE,
+    *,
+    class_consistent: bool = True,
+) -> tuple[np.ndarray, list[list[tuple[int, int, float]]]]:
+    """Greedy matching of scored predictions at each threshold.
+
+    Builds the similarity matrix, scores and classes once and runs
+    :func:`greedy_match_matrix` per threshold. Returns the prediction
+    scores and, per threshold, the (gt index, pred index, sigma) pairs.
+    """
+    sigma = sigma_matrix(preds, gts, metric)
+    scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
+    pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
+    gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
+    per_threshold = [
+        greedy_match_matrix(
+            sigma, scores, pred_cls, gt_cls,
+            eta=t,
+            larger_is_better=metric is MatchMetric.ROTATED_IOU,
+            class_consistent=class_consistent,
+        )
+        for t in thresholds
+    ]
+    return scores, per_threshold
 
 
 def classify_stage(
@@ -176,15 +194,7 @@ def classify_stage(
             if not 0 <= j < len(gts):
                 raise ValueError(f"remaining index {j} outside the ground-truth list")
     sub_gts = [gts[j] for j in claimable]
-    sigma = sigma_matrix(candidates, sub_gts, cfg.metric)
-    scores = np.array([prediction_score(p) for p in candidates], dtype=np.float64)
-    pred_cls = np.array([int(p.class_id) for p in candidates], dtype=np.int64)
-    gt_cls = np.array([int(g.class_id) for g in sub_gts], dtype=np.int64)
-    pairs = greedy_match_matrix(
-        sigma, scores, pred_cls, gt_cls,
-        eta=cfg.eta,
-        larger_is_better=cfg.metric is MatchMetric.ROTATED_IOU,
-    )
+    _, (pairs,) = match_thresholds(candidates, sub_gts, (cfg.eta,), cfg.metric)
     matched = tuple((claimable[j], i, s) for j, i, s in pairs)
     tp = frozenset(p[0] for p in matched)
     fn = frozenset(claimable) - tp

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -255,10 +256,13 @@ def _box_from_record(record, where: str, scored: bool) -> BevBox:
         }
         if scored:
             kwargs["score"] = float(record["score"])
+        if not all(map(math.isfinite, kwargs.values())):
+            name, value = next((k, v) for k, v in kwargs.items() if not math.isfinite(v))
+            raise DataError(f"{where}: field {name!r} must be finite, got {value!r}")
         return BevBox(**kwargs)
     except KeyError as exc:
         raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

@@ -18,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import (
-    MatchMetric,
-    greedy_match_matrix,
-    prediction_score,
-    sigma_matrix,
-)
+from .assignment import match_thresholds
 from .geometry import BevBox
 
 
@@ -91,42 +86,21 @@ def average_recall(
     thresholds = cfg.thresholds
     if len(gts) == 0:
         return _empty_report(thresholds, len(preds))
-    gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
-    classes = sorted(set(gt_cls.tolist()))
-    class_gt = {c: int((gt_cls == c).sum()) for c in classes}
-    if len(preds) == 0:
-        zero = {t: 0.0 for t in thresholds}
-        return RecallReport(
-            per_threshold_recall=dict(zero),
-            mean_average_recall=0.0,
-            per_class_recall={c: dict(zero) for c in classes},
-            num_gt=len(gts),
-            num_pred=0,
-            num_matched={t: 0 for t in thresholds},
-            per_class_gt=class_gt,
-            per_class_matched={c: {t: 0 for t in thresholds} for c in classes},
-        )
-    sigma = sigma_matrix(preds, gts, MatchMetric.CENTER_DISTANCE)
-    scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
-    pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
-
+    gt_cls = [int(g.class_id) for g in gts]
+    classes = sorted(set(gt_cls))
+    class_gt = {c: gt_cls.count(c) for c in classes}
+    _, per_threshold_pairs = match_thresholds(
+        preds, gts, thresholds, class_consistent=not cfg.class_agnostic
+    )
     per_threshold: dict[float, float] = {}
     matched_counts: dict[float, int] = {}
     class_matched: dict[int, dict[float, int]] = {c: {} for c in classes}
-    for t in thresholds:
-        pairs = greedy_match_matrix(
-            sigma, scores, pred_cls, gt_cls,
-            eta=t,
-            larger_is_better=False,
-            class_consistent=not cfg.class_agnostic,
-        )
+    for t, pairs in zip(thresholds, per_threshold_pairs):
         matched_counts[t] = len(pairs)
         per_threshold[t] = len(pairs) / len(gts)
-        hits = {c: 0 for c in classes}
-        for j, _i, _s in pairs:
-            hits[int(gt_cls[j])] += 1
+        hit_cls = [gt_cls[j] for j, _i, _s in pairs]
         for c in classes:
-            class_matched[c][t] = hits[c]
+            class_matched[c][t] = hit_cls.count(c)
     per_class = {
         c: {t: class_matched[c][t] / class_gt[c] for t in thresholds} for c in classes
     }
@@ -207,22 +181,11 @@ def false_negative_indices(
     Uses the same greedy matching as :func:`average_recall`, so counts
     agree with the recall report exactly.
     """
-    if len(gts) == 0:
-        return {t: [] for t in cfg.thresholds}
-    if len(preds) == 0:
-        return {t: list(range(len(gts))) for t in cfg.thresholds}
-    sigma = sigma_matrix(preds, gts, MatchMetric.CENTER_DISTANCE)
-    scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
-    pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
-    gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
+    _, per_threshold_pairs = match_thresholds(
+        preds, gts, cfg.thresholds, class_consistent=not cfg.class_agnostic
+    )
     out: dict[float, list[int]] = {}
-    for t in cfg.thresholds:
-        pairs = greedy_match_matrix(
-            sigma, scores, pred_cls, gt_cls,
-            eta=t,
-            larger_is_better=False,
-            class_consistent=not cfg.class_agnostic,
-        )
+    for t, pairs in zip(cfg.thresholds, per_threshold_pairs):
         matched = {j for j, _i, _s in pairs}
         out[t] = [j for j in range(len(gts)) if j not in matched]
     return out
@@ -254,15 +217,8 @@ def ap_center_distance(
         return ApResult(math.nan, 0, len(preds), no_gt=True)
     if len(preds) == 0:
         return ApResult(0.0, len(gts), 0, no_predictions=True)
-    sigma = sigma_matrix(preds, gts, MatchMetric.CENTER_DISTANCE)
-    scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
-    pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
-    gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
-    pairs = greedy_match_matrix(
-        sigma, scores, pred_cls, gt_cls,
-        eta=threshold,
-        larger_is_better=False,
-        class_consistent=class_consistent,
+    scores, (pairs,) = match_thresholds(
+        preds, gts, (threshold,), class_consistent=class_consistent
     )
     is_tp = np.zeros(len(preds), dtype=bool)
     for _j, i, _s in pairs:

@@ -444,6 +444,12 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _build(cls, kwargs: dict, path: str):
     try:
         return cls(**kwargs)
@@ -463,8 +469,18 @@ def _hip_config_from(cfg: dict, path: str) -> HipConfig:
             raise ConfigError(
                 f"{path}.mask_type: expected one of {valid}, got {kwargs['mask_type']!r}"
             ) from exc
+        if kwargs["mask_type"] is MaskType.BOX:
+            raise ConfigError(
+                f"{path}.mask_type: box masking needs predicted boxes, "
+                "which the simulator does not produce; use point or pooling"
+            )
     if "small_classes" in kwargs:
-        kwargs["small_classes"] = frozenset(int(c) for c in kwargs["small_classes"])
+        classes = kwargs["small_classes"]
+        if not isinstance(classes, list):
+            raise ConfigError(f"{path}.small_classes: expected a list, got {classes!r}")
+        kwargs["small_classes"] = frozenset(
+            _integer(c, f"{path}.small_classes") for c in classes
+        )
     return _build(HipConfig, kwargs, path)
 
 
@@ -478,13 +494,16 @@ def experiment_from_config(cfg: dict) -> ExperimentSetup:
     grid = _require(cfg, "grid", "")
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
+    for key in ("size_x", "size_y", "num_classes"):
+        if key in grid:
+            _integer(grid[key], f"grid.{key}")
     spec = _build(BevGridSpec, grid, "grid")
     scene = _require(cfg, "scene", "")
     if not isinstance(scene, dict):
         raise ConfigError("scene must be an object")
     params = _build(
         SceneParams,
-        dict(scene, spec=spec, rng_seed=int(_require(cfg, "rng_seed", ""))),
+        dict(scene, spec=spec, rng_seed=_integer(_require(cfg, "rng_seed", ""), "rng_seed")),
         "scene",
     )
     det = _require(cfg, "detectability", "")
@@ -501,7 +520,7 @@ def experiment_from_config(cfg: dict) -> ExperimentSetup:
     if not isinstance(render, dict):
         raise ConfigError("render must be an object")
     render_cfg = _build(GaussianRenderConfig, render, "render")
-    num_scenes = int(_require(cfg, "num_scenes", ""))
+    num_scenes = _integer(_require(cfg, "num_scenes", ""), "num_scenes")
     try:
         return ExperimentSetup(
             params=params,

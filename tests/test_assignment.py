@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevprobe.assignment import (
     AssignmentConfig,
@@ -53,7 +55,7 @@ def brute_force_assignment(cost):
     return best_cost, pairs
 
 
-def naive_greedy(sigma, scores, pred_cls, gt_cls, eta, larger_is_better):
+def naive_greedy(sigma, scores, pred_cls, gt_cls, eta, larger_is_better, class_consistent=True):
     """Oracle: score-ordered greedy matching, written as plain loops."""
     n_pred, n_gt = sigma.shape
     order = sorted(range(n_pred), key=lambda i: (-scores[i], i))
@@ -62,7 +64,7 @@ def naive_greedy(sigma, scores, pred_cls, gt_cls, eta, larger_is_better):
     for i in order:
         best_j, best_v = None, None
         for j in range(n_gt):
-            if j in taken or gt_cls[j] != pred_cls[i]:
+            if j in taken or (class_consistent and gt_cls[j] != pred_cls[i]):
                 continue
             v = sigma[i, j]
             ok = v > eta if larger_is_better else v < eta
@@ -232,6 +234,40 @@ class TestGreedyAgainstOracle:
             )
             want = naive_greedy(sigma, scores, cls[0], cls[1], 0.4, True)
             assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n_pred=st.integers(0, 7),
+        n_gt=st.integers(0, 7),
+        larger_is_better=st.booleans(),
+        class_consistent=st.booleans(),
+    )
+    def test_property_equals_oracle_with_ties(
+        self, data, n_pred, n_gt, larger_is_better, class_consistent
+    ):
+        # Integer-valued sigmas and scores make sigma and score ties common.
+        small = st.integers(0, 4)
+        sigma = np.array(
+            data.draw(st.lists(st.lists(small, min_size=n_gt, max_size=n_gt),
+                               min_size=n_pred, max_size=n_pred)),
+            dtype=np.float64,
+        ).reshape(n_pred, n_gt)
+        scores = np.array(data.draw(st.lists(small, min_size=n_pred, max_size=n_pred)),
+                          dtype=np.float64)
+        pred_cls = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n_pred,
+                                               max_size=n_pred)), dtype=np.int64)
+        gt_cls = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n_gt,
+                                             max_size=n_gt)), dtype=np.int64)
+        eta = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5]))
+        got = greedy_match_matrix(
+            sigma, scores, pred_cls, gt_cls, eta=eta,
+            larger_is_better=larger_is_better, class_consistent=class_consistent,
+        )
+        want = naive_greedy(
+            sigma, scores, pred_cls, gt_cls, eta, larger_is_better, class_consistent
+        )
+        assert got == want
 
     def test_class_agnostic_flag(self):
         sigma = np.array([[0.5]])

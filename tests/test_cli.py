@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap
 from bevprobe.cli import main
+from bevprobe.errors import ConfigError
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
     HipConfig,
@@ -156,6 +158,35 @@ class TestSimulateCommand:
         cfg["scene"]["class_mix"] = [0.6, 0.6]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("hip", "small_classes", ["a"]),
+            (None, "num_scenes", "abc"),
+            ("grid", "size_x", 50.5),
+            (None, "rng_seed", None),
+        ],
+    )
+    def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
+        cfg = tiny_config()
+        (cfg[section] if section else cfg)[key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"{section}.{key}" if section else key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("arm", ["hip", "baseline"])
+    def test_box_mask_rejected_at_parse_time(self, tmp_path, capsys, arm):
+        cfg = tiny_config()
+        cfg[arm]["mask_type"] = "box"
+        with pytest.raises(ConfigError, match=f"{arm}.mask_type"):
+            experiment_from_config(cfg)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{arm}.mask_type" in err and "Traceback" not in err
 
 
 def stage_files(tmp_path, num_stages=2, seed=40, size=12, num_classes=2):
@@ -422,6 +453,31 @@ class TestAuditCommand:
             "predictions": [],
             "ground_truth": [{"cx": 0, "cy": 0, "length": -1, "width": 1}],
         }]}) == 3
+        assert run_with({"scenes": [{
+            "scene_id": "a",
+            "predictions": [],
+            "ground_truth": [{"cx": 0, "cy": 0, "length": 1, "width": 1, "class_id": math.inf}],
+        }]}) == 3
+
+    @pytest.mark.parametrize(
+        "role, field, value",
+        [
+            ("predictions", "cx", math.nan),
+            ("predictions", "cy", math.inf),
+            ("ground_truth", "length", math.inf),
+            ("ground_truth", "yaw", math.nan),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, tmp_path, capsys, role, field, value):
+        _, dump = detection_dump(tmp_path)
+        dump["scenes"][1][role][0][field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(dump))
+        assert main(["audit", "--dump", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"scenes[1].{role}[0] (b)" in err
+        assert repr(field) in err
+        assert "Traceback" not in err
 
     def test_missing_dump_file(self, tmp_path):
         assert main([

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevprobe.assignment import MatchConfig, classify_stage
 from bevprobe.geometry import BevBox
@@ -244,6 +246,29 @@ class TestFalseNegatives:
             fns = false_negative_indices(preds, gts, cfg)
             for t in cfg.thresholds:
                 assert len(fns[t]) == report.num_gt - report.num_matched[t]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        centers=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                   st.integers(0, 1)), max_size=8),
+        pred_centers=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                        st.integers(0, 1), st.integers(0, 3)), max_size=8),
+        class_agnostic=st.booleans(),
+    )
+    def test_property_matched_counts_agree_with_recall(
+        self, centers, pred_centers, class_agnostic
+    ):
+        # Integer centers and scores produce tied distances and tied scores.
+        gts = [gt(float(x), float(y), c) for x, y, c in centers]
+        preds = [pred(float(x), float(y), c, score=s / 4) for x, y, c, s in pred_centers]
+        cfg = RecallConfig(thresholds=(0.5, 1.5, 3.0), class_agnostic=class_agnostic)
+        report = average_recall(preds, gts, cfg)
+        fns = false_negative_indices(preds, gts, cfg)
+        for t in cfg.thresholds:
+            assert len(gts) - len(fns[t]) == report.num_matched[t]
+            for c, n in report.per_class_gt.items():
+                missed = sum(1 for j in fns[t] if gts[j].class_id == c)
+                assert n - missed == report.per_class_matched[c][t]
 
     def test_no_predictions(self):
         fns = false_negative_indices([], [gt(0, 0), gt(5, 0)], RecallConfig((1.0,)))
