@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BevBox, center_distance, rotated_iou_bev
 from .hip import Candidate
@@ -215,8 +214,11 @@ def hungarian_assign(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment on a rectangular cost matrix.
 
     Returns (row, column) pairs sorted by row; min(n_rows, n_cols) pairs.
-    Costs must be finite.
+    Costs must be finite. scipy is imported here rather than at module
+    level because it dominates start-up time and nothing else needs it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2D, got shape {cost.shape}")

@@ -13,6 +13,7 @@ above 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -157,6 +158,16 @@ def radius_for_box(box: BevBox, spec: BevGridSpec, cfg: GaussianRenderConfig) ->
     return max(cfg.min_radius_cells, int(r))
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_gaussian(radius: int) -> np.ndarray:
+    """Read-only (2r+1)^2 Gaussian window with sigma = radius / 3, peak 1."""
+    sigma = radius / 3.0
+    ax = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
+    kernel.setflags(write=False)
+    return kernel
+
+
 def draw_gaussian_peak(
     canvas: np.ndarray, x: int, y: int, radius: int, peak: float = 1.0
 ) -> bool:
@@ -169,9 +180,7 @@ def draw_gaussian_peak(
     ny, nx = canvas.shape
     if not (0 <= x < nx and 0 <= y < ny):
         return False
-    sigma = radius / 3.0
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
-    bump = peak * np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
+    bump = peak * _unit_gaussian(radius)
     x0, x1 = max(0, x - radius), min(nx, x + radius + 1)
     y0, y1 = max(0, y - radius), min(ny, y + radius + 1)
     window = bump[

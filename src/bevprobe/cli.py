@@ -24,6 +24,7 @@ from .hip import (
     MaskType,
     candidate_to_dict,
     candidates_to_jsonl,
+    encode_compact_json,
     run_hip,
     save_mask,
 )
@@ -63,15 +64,16 @@ def _read_json(path: Path, what: str, err=DataError) -> dict:
 
 
 def _run_info() -> dict:
+    from importlib.metadata import version
+
     import numpy
-    import scipy
 
     return {
         "tool": "bevprobe",
         "version": __version__,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),
     }
 
 
@@ -143,7 +145,7 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
         for outcome in result.scenes:
             for cand in outcome.candidates[arm]:
                 record = {"scene_id": outcome.scene_id, **candidate_to_dict(cand)}
-                lines.append(json.dumps(record, separators=(",", ":")))
+                lines.append(encode_compact_json(record))
         _write_text(out / f"candidates_{arm}.jsonl", "".join(l + "\n" for l in lines))
 
     # Sorted arm order keeps the chart byte-identical with `report`.
@@ -169,7 +171,7 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
         for i, seed in enumerate(scene_seeds(setup.params.rng_seed, setup.num_scenes)):
             scene = generate_scene(_replace(setup.params, rng_seed=seed), setup.model)
             record = {"scene_id": f"scene_{i:04d}", "seed": seed, **scene_to_dict(scene)}
-            scene_lines.append(json.dumps(record, separators=(",", ":")))
+            scene_lines.append(encode_compact_json(record))
         _write_text(out / "scenes.jsonl", "".join(l + "\n" for l in scene_lines))
     return 0
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bev_grid import BevGridSpec, Heatmap, read_grid_tensor, write_grid_tensor
-from .errors import DataError
+from .errors import BevProbeError, DataError
 from .geometry import BevBox
 
 
@@ -291,8 +291,9 @@ def run_hip(
     ``stage_source`` is either a sequence of exactly ``cfg.num_stages``
     heatmaps or a callable ``(stage, candidates_so_far) -> Heatmap``. BOX
     masking additionally needs ``box_provider`` mapping a stage's
-    candidates to one predicted box each. Errors are re-raised with the
-    failing stage identified.
+    candidates to one predicted box each. A source's ConfigError or
+    DataError propagates unchanged; any other source error is re-raised as
+    RuntimeError with the failing stage identified.
     """
     if callable(stage_source):
         fetch = stage_source
@@ -312,6 +313,8 @@ def run_hip(
     for stage in range(cfg.num_stages):
         try:
             hm = fetch(stage, tuple(collected))
+        except BevProbeError:
+            raise
         except Exception as exc:
             raise RuntimeError(f"stage {stage}: heatmap source failed: {exc}") from exc
         if hm.spec != spec:
@@ -369,11 +372,13 @@ def candidate_from_dict(d: dict) -> Candidate:
         raise DataError(f"invalid candidate record {d!r}: {exc}") from exc
 
 
+# The encoder json.dumps(obj, separators=(",", ":")) builds on every call.
+encode_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def candidates_to_jsonl(candidates: Sequence[Candidate]) -> str:
     """One compact JSON object per line, in candidate order."""
-    lines = [
-        json.dumps(candidate_to_dict(cd), separators=(",", ":")) for cd in candidates
-    ]
+    lines = [encode_compact_json(candidate_to_dict(cd)) for cd in candidates]
     return "".join(line + "\n" for line in lines)
 
 

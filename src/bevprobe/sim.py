@@ -16,7 +16,6 @@ runs may be parallelized across processes without changing any result.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,6 +145,28 @@ class SyntheticScene:
             raise ValueError("one amplitude per ground-truth box is required")
 
 
+def _clutter_free_cells(
+    spec: BevGridSpec,
+    centers_by_class: dict[int, list[tuple[float, float]]],
+    clearance_sq: float,
+) -> np.ndarray:
+    """Boolean [C][Y][X] table: may a clutter peak of class c sit at (x, y)?
+
+    A cell is free when its world position keeps ``clearance_sq`` squared
+    meters from every same-class object center, evaluated with the same
+    float operations as a per-cell scalar test, so the table agrees with it
+    cell for cell.
+    """
+    wx = spec.origin_x + np.arange(spec.size_x) * spec.cell_size
+    wy = spec.origin_y + np.arange(spec.size_y) * spec.cell_size
+    free = np.ones(spec.shape, dtype=bool)
+    for class_id, centers in centers_by_class.items():
+        for px, py in centers:
+            dist_sq = (wx[None, :] - px) ** 2 + (wy[:, None] - py) ** 2
+            free[class_id] &= dist_sq >= clearance_sq
+    return free
+
+
 def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticScene:
     """Draw a scene deterministically from ``params.rng_seed``.
 
@@ -198,16 +219,14 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
         else:
             amplitudes.append(float(rng.uniform(*model.hard_amplitude_range)))
 
-    clearance_sq = model.clutter_clearance ** 2
+    free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2)
     clutter: list[ClutterPeak] = []
     for i in range(model.clutter_peaks):
         for _attempt in range(_PLACEMENT_ATTEMPTS):
             x = int(rng.integers(spec.size_x))
             y = int(rng.integers(spec.size_y))
             class_id = int(rng.integers(spec.num_classes))
-            wx, wy = spec.grid_to_world((x, y))
-            near = centers_by_class.get(class_id, ())
-            if all((wx - px) ** 2 + (wy - py) ** 2 >= clearance_sq for px, py in near):
+            if free[class_id, y, x]:
                 break
         else:
             raise DataError(
@@ -416,6 +435,8 @@ def run_experiment(setup: ExperimentSetup, jobs: int = 1) -> ExperimentResult:
     if jobs == 1:
         outcomes = [_scene_task(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_scene_task, payloads, chunksize=8))
 
@@ -450,6 +471,17 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _integer_fields(section: dict, keys: tuple[str, ...], path: str) -> None:
+    """Require JSON integers for the given keys, and for every entry of a
+    list under them, where present."""
+    for key in keys:
+        if key not in section:
+            continue
+        value = section[key]
+        for item in value if isinstance(value, list) else (value,):
+            _integer(item, f"{path}.{key}")
+
+
 def _build(cls, kwargs: dict, path: str):
     try:
         return cls(**kwargs)
@@ -474,13 +506,11 @@ def _hip_config_from(cfg: dict, path: str) -> HipConfig:
                 f"{path}.mask_type: box masking needs predicted boxes, "
                 "which the simulator does not produce; use point or pooling"
             )
-    if "small_classes" in kwargs:
-        classes = kwargs["small_classes"]
-        if not isinstance(classes, list):
-            raise ConfigError(f"{path}.small_classes: expected a list, got {classes!r}")
-        kwargs["small_classes"] = frozenset(
-            _integer(c, f"{path}.small_classes") for c in classes
-        )
+    classes = kwargs.get("small_classes", [])
+    if not isinstance(classes, list):
+        raise ConfigError(f"{path}.small_classes: expected a list, got {classes!r}")
+    _integer_fields(kwargs, ("num_stages", "k_per_stage", "pooling_kernel", "small_classes"), path)
+    kwargs["small_classes"] = frozenset(classes)
     return _build(HipConfig, kwargs, path)
 
 
@@ -494,21 +524,20 @@ def experiment_from_config(cfg: dict) -> ExperimentSetup:
     grid = _require(cfg, "grid", "")
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
-    for key in ("size_x", "size_y", "num_classes"):
-        if key in grid:
-            _integer(grid[key], f"grid.{key}")
+    _integer_fields(grid, ("size_x", "size_y", "num_classes"), "grid")
     spec = _build(BevGridSpec, grid, "grid")
     scene = _require(cfg, "scene", "")
     if not isinstance(scene, dict):
         raise ConfigError("scene must be an object")
-    params = _build(
-        SceneParams,
-        dict(scene, spec=spec, rng_seed=_integer(_require(cfg, "rng_seed", ""), "rng_seed")),
-        "scene",
-    )
+    _integer_fields(scene, ("num_objects_range",), "scene")
+    rng_seed = _integer(_require(cfg, "rng_seed", ""), "rng_seed")
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed: expected a non-negative integer, got {rng_seed}")
+    params = _build(SceneParams, dict(scene, spec=spec, rng_seed=rng_seed), "scene")
     det = _require(cfg, "detectability", "")
     if not isinstance(det, dict):
         raise ConfigError("detectability must be an object")
+    _integer_fields(det, ("clutter_peaks",), "detectability")
     model = _build(DetectabilityModel, det, "detectability")
     hip_cfg = _hip_config_from(_require(cfg, "hip", ""), "hip")
     baseline_cfg = _hip_config_from(_require(cfg, "baseline", ""), "baseline")
@@ -519,6 +548,7 @@ def experiment_from_config(cfg: dict) -> ExperimentSetup:
     render = cfg.get("render", {})
     if not isinstance(render, dict):
         raise ConfigError("render must be an object")
+    _integer_fields(render, ("min_radius_cells",), "render")
     render_cfg = _build(GaussianRenderConfig, render, "render")
     num_scenes = _integer(_require(cfg, "num_scenes", ""), "num_scenes")
     try:

@@ -16,6 +16,7 @@ from bevprobe.bev_grid import (
     render_gaussian_heatmap,
     save_heatmap,
     world_to_grid,
+    _unit_gaussian,
 )
 from bevprobe.errors import DataError
 from bevprobe.geometry import BevBox
@@ -191,6 +192,31 @@ class TestDrawGaussianPeak:
         b2 = np.zeros((9, 9))
         draw_gaussian_peak(b2, 5, 4, 2, peak=1.0)
         np.testing.assert_array_equal(a, np.maximum(b1, b2))
+
+
+    def test_cached_kernel_is_read_only(self):
+        kernel = _unit_gaussian(3)
+        assert kernel is _unit_gaussian(3)
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 2.0
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("peak", [1.0, 0.75, 0.3141592653589793, 1e-3])
+    def test_equals_freshly_computed_kernel(self, radius, peak):
+        # The splat as written before kernels were cached: exp evaluated
+        # per call, then scaled by the peak.
+        sigma = radius / 3.0
+        ax = np.arange(-radius, radius + 1, dtype=np.float64)
+        bump = peak * np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
+        for x, y in [(radius + 1, radius + 2), (0, 0), (2 * radius + 1, 1)]:
+            size = 2 * radius + 3
+            canvas = np.zeros((size, size))
+            draw_gaussian_peak(canvas, x, y, radius, peak)
+            expected = np.zeros((size + 2 * radius, size + 2 * radius))
+            expected[y : y + 2 * radius + 1, x : x + 2 * radius + 1] = bump
+            expected = expected[radius : radius + size, radius : radius + size]
+            assert (canvas == expected).all()
 
 
 class TestRenderGaussianHeatmap:

@@ -166,11 +166,18 @@ class TestSimulateCommand:
             (None, "num_scenes", "abc"),
             ("grid", "size_x", 50.5),
             (None, "rng_seed", None),
+            (None, "rng_seed", -1),
+            ("hip", "pooling_kernel", 2.5),
+            ("detectability", "clutter_peaks", 10.5),
+            ("hip", "num_stages", 2.0),
+            ("baseline", "k_per_stage", [10.5]),
+            ("scene", "num_objects_range", [3.5, 5]),
+            ("render", "min_radius_cells", 2.5),
         ],
     )
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
         cfg = tiny_config()
-        (cfg[section] if section else cfg)[key] = value
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -524,6 +531,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "audit" in proc.stdout
+
+    @pytest.mark.parametrize("run", [False, True])
+    def test_cli_does_not_import_scipy(self, tmp_path, run):
+        # In a fresh interpreter: this process has scipy loaded already.
+        argv = ["simulate", "--help"]
+        if run:
+            cfg_path = write_config(tmp_path, tiny_config())
+            argv = ["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]
+        code = (
+            "import sys\n"
+            "from bevprobe.cli import main\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_console_script_help(self):
         import shutil

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bevprobe.bev_grid import BevGridSpec, Heatmap
-from bevprobe.errors import DataError
+from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
     AccumulatedPositiveMask,
@@ -428,6 +428,19 @@ class TestRunHip:
 
         cfg = HipConfig(num_stages=2, k_per_stage=(1, 1), mask_type=MaskType.POINT)
         with pytest.raises(RuntimeError, match="stage 1"):
+            run_hip(source, cfg, spec)
+
+    @pytest.mark.parametrize("error", [DataError, ConfigError])
+    def test_source_package_errors_propagate_unwrapped(self, error):
+        spec = make_spec(4, 4, 1)
+
+        def source(stage, collected):
+            if stage == 1:
+                raise error("stage file is corrupt")
+            return Heatmap.zeros(spec)
+
+        cfg = HipConfig(num_stages=2, k_per_stage=(1, 1), mask_type=MaskType.POINT)
+        with pytest.raises(error, match="^stage file is corrupt$"):
             run_hip(source, cfg, spec)
 
     def test_spec_mismatch_names_stage(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevprobe.bev_grid import BevGridSpec, GaussianRenderConfig
 from bevprobe.errors import ConfigError, DataError
@@ -17,6 +19,7 @@ from bevprobe.sim import (
     ExperimentSetup,
     SceneParams,
     SyntheticScene,
+    _clutter_free_cells,
     experiment_from_config,
     generate_scene,
     oracle_stage_heatmap,
@@ -237,6 +240,149 @@ class TestGenerateScene:
             SyntheticScene(
                 gts=(BevBox(0, 0, 4, 2, 0.0, 0),), amplitudes=(), clutter=()
             )
+
+
+def generate_scene_oracle(params, model):
+    """generate_scene with clutter placed by a per-attempt scalar scan over
+    the same-class centers, as written before the clearance table."""
+    rng = np.random.default_rng(params.rng_seed)
+    spec = params.spec
+    margin = spec.cell_size
+    x_lo = spec.origin_x + margin
+    x_hi = spec.origin_x + (spec.size_x - 1) * spec.cell_size - margin
+    y_lo = spec.origin_y + margin
+    y_hi = spec.origin_y + (spec.size_y - 1) * spec.cell_size - margin
+    if x_hi <= x_lo or y_hi <= y_lo:
+        raise DataError("grid is too small to place objects inside a one-cell margin")
+    lo, hi = params.num_objects_range
+    count = int(rng.integers(lo, hi + 1))
+    mix = np.asarray(params.class_mix, dtype=np.float64)
+    mix = mix / mix.sum()
+    min_sep = params.min_same_class_separation
+    gts = []
+    centers_by_class = {}
+    for i in range(count):
+        class_id = int(rng.choice(spec.num_classes, p=mix))
+        mean_l, mean_w, jitter = params.size_table[class_id]
+        length = max(0.05, mean_l * (1.0 + rng.uniform(-jitter, jitter)))
+        width = max(0.05, mean_w * (1.0 + rng.uniform(-jitter, jitter)))
+        yaw = float(rng.uniform(-np.pi, np.pi))
+        taken = centers_by_class.setdefault(class_id, [])
+        for _attempt in range(10_000):
+            cx = float(rng.uniform(x_lo, x_hi))
+            cy = float(rng.uniform(y_lo, y_hi))
+            if all((cx - px) ** 2 + (cy - py) ** 2 >= min_sep * min_sep for px, py in taken):
+                break
+        else:
+            raise DataError(f"could not place object {i} (class {class_id})")
+        taken.append((cx, cy))
+        gts.append(BevBox(cx, cy, length, width, yaw, class_id))
+    amplitudes = []
+    for _ in range(count):
+        if rng.random() < model.easy_fraction:
+            amplitudes.append(model.easy_amplitude)
+        else:
+            amplitudes.append(float(rng.uniform(*model.hard_amplitude_range)))
+    clearance_sq = model.clutter_clearance ** 2
+    clutter = []
+    for i in range(model.clutter_peaks):
+        for _attempt in range(10_000):
+            x = int(rng.integers(spec.size_x))
+            y = int(rng.integers(spec.size_y))
+            class_id = int(rng.integers(spec.num_classes))
+            wx, wy = spec.grid_to_world((x, y))
+            near = centers_by_class.get(class_id, ())
+            if all((wx - px) ** 2 + (wy - py) ** 2 >= clearance_sq for px, py in near):
+                break
+        else:
+            raise DataError(f"could not place clutter peak {i}")
+        amplitude = float(rng.uniform(*model.clutter_amplitude_range))
+        clutter.append(ClutterPeak(x, y, class_id, amplitude))
+    return SyntheticScene(tuple(gts), tuple(amplitudes), tuple(clutter))
+
+
+@st.composite
+def scene_setups(draw):
+    num_classes = draw(st.integers(1, 3))
+    size_x, size_y = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    cell = draw(st.sampled_from([0.25, 0.5, 0.7, 1.0, 1.3]))
+    origin = draw(st.floats(-10.0, 0.0, allow_nan=False).map(lambda v: round(v, 3)))
+    spec = BevGridSpec(size_x, size_y, num_classes, cell, origin, origin * 0.9)
+    weights = draw(st.lists(st.integers(0, 4), min_size=num_classes, max_size=num_classes))
+    weights[draw(st.integers(0, num_classes - 1))] += 1
+    lo = draw(st.integers(0, 5))
+    params = SceneParams(
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        num_objects_range=(lo, lo + draw(st.integers(0, 3))),
+        class_mix=tuple(w / sum(weights) for w in weights),
+        size_table=((4.0, 2.0, 0.1),) * num_classes,
+        spec=spec,
+        min_same_class_separation=draw(st.sampled_from([0.5, 1.0, 2.5, 6.0])),
+    )
+    model = make_model(
+        clutter_peaks=draw(st.integers(0, 30)),
+        clutter_clearance=draw(st.sampled_from([0.5, 1.0, 1.5, 3.0, 4.5, 6.0, 40.0])),
+    )
+    return params, model
+
+
+def outcome(fn, params, model):
+    """The scene, or DataError with its message cut before the attempt
+    count and advice, which the oracle does not repeat."""
+    try:
+        return fn(params, model)
+    except DataError as exc:
+        return DataError, str(exc).split(" after ")[0]
+
+
+class TestClutterTable:
+    @settings(max_examples=150, deadline=None)
+    @given(scene_setups())
+    def test_property_equals_scalar_oracle(self, setup):
+        params, model = setup
+        assert outcome(generate_scene, params, model) == outcome(
+            generate_scene_oracle, params, model
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(-4, 16), st.integers(-4, 16),
+                      st.sampled_from([0.0, 0.25, 0.5, 0.123456789])),
+            max_size=6,
+        ),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.7]),
+    )
+    def test_property_table_equals_scalar_test(self, placed, clearance):
+        # Centers on lattice points hit the clearance boundary exactly.
+        spec = BevGridSpec(13, 11, 3, 0.5, -3.0, -2.5)
+        centers = {}
+        for class_id, i, j, offset in placed:
+            centers.setdefault(class_id, []).append(
+                (spec.origin_x + i * 0.5 + offset, spec.origin_y + j * 0.5 - offset)
+            )
+        clearance_sq = clearance ** 2
+        free = _clutter_free_cells(spec, centers, clearance_sq)
+        for c in range(spec.num_classes):
+            for y in range(spec.size_y):
+                for x in range(spec.size_x):
+                    wx, wy = spec.grid_to_world((x, y))
+                    expected = all(
+                        (wx - px) ** 2 + (wy - py) ** 2 >= clearance_sq
+                        for px, py in centers.get(c, ())
+                    )
+                    assert free[c, y, x] == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overdense_cases_raise_in_both(self, seed):
+        params = make_params(
+            seed=seed, spec=make_spec(10, num_classes=1), num_objects_range=(1, 2),
+            class_mix=(1.0,), size_table=((4.0, 2.0, 0.1),),
+        )
+        model = make_model(clutter_peaks=3, clutter_clearance=40.0)
+        expected = (DataError, "could not place clutter peak 0")
+        assert outcome(generate_scene, params, model) == expected
+        assert outcome(generate_scene_oracle, params, model) == expected
 
 
 def two_object_scene():
