@@ -95,7 +95,8 @@ class Heatmap:
             raise ValueError(
                 f"heatmap shape {arr.shape} does not match grid shape {self.spec.shape}"
             )
-        if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
+        # NaN fails both comparisons.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("heatmap values must lie in [0, 1] and contain no NaNs")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -297,14 +298,12 @@ def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, 
     if header.get("endianness") != "little":
         raise DataError(f"{path}: unsupported endianness {header.get('endianness')!r}")
     spec = _spec_from_dict(header.get("spec") or {}, path)
-    blob = raw[newline + 1 :]
     np_dtype = _DTYPES[dtype]
     expected = spec.num_classes * spec.size_y * spec.size_x * np_dtype.itemsize
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: blob holds {len(blob)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(blob, dtype=np_dtype).reshape(spec.shape)
+    blob_len = len(raw) - newline - 1
+    if blob_len != expected:
+        raise DataError(f"{path}: blob holds {blob_len} bytes, header implies {expected}")
+    values = np.frombuffer(raw, dtype=np_dtype, offset=newline + 1).reshape(spec.shape)
     return spec, values, dtype
 
 

@@ -207,8 +207,12 @@ def cmd_probe(
     except ValueError as exc:
         raise ConfigError(f"unknown --mask-type {mask_type!r}") from exc
     small = frozenset(_parse_int_list(small_classes, "--small-classes")) if small_classes else frozenset()
-    if mtype is MaskType.BOX and (box_length is None or box_width is None):
-        raise ConfigError("box masking requires --box-length and --box-width")
+    if mtype is MaskType.BOX:
+        if box_length is None or box_width is None:
+            raise ConfigError("box masking requires --box-length and --box-width")
+        for flag, size in (("--box-length", box_length), ("--box-width", box_width)):
+            if not (math.isfinite(size) and size > 0.0):
+                raise ConfigError(f"{flag} must be a finite positive number, got {size}")
     try:
         cfg = HipConfig(
             num_stages=num_stages,

@@ -11,6 +11,7 @@ modes are supported: the selected cell only, a square pooling window
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import os
@@ -79,7 +80,7 @@ def _frozen_bits(bits: np.ndarray, spec: BevGridSpec) -> np.ndarray:
     arr = np.array(bits, dtype=np.uint8)
     if arr.shape != spec.shape:
         raise ValueError(f"mask shape {arr.shape} does not match grid {spec.shape}")
-    if not (arr <= 1).all():
+    if arr.max() > 1:
         raise ValueError("mask bits must be 0 or 1")
     arr.setflags(write=False)
     return arr
@@ -136,61 +137,113 @@ def topk_select(
     if accumulated is not None and accumulated.spec != spec:
         raise ValueError("accumulated mask grid spec does not match the heatmap")
     flat = heatmap.values.ravel()
-    if accumulated is None:
-        valid = np.arange(flat.size)
-    else:
-        valid = np.flatnonzero(accumulated.bits.ravel() == 0)
-    if valid.size == 0:
+    n = flat.size
+    n_open = n
+    if accumulated is not None:
+        taken = accumulated.bits.ravel().view(np.bool_)
+        n_open = n - int(np.count_nonzero(taken))
+    if n_open == 0:
         return TopKResult((), True)
-    scores = flat[valid]
-    if k >= valid.size:
-        chosen = valid
+    # Rank by negated score, which lies in [-1, 0], with +1 for every claimed
+    # cell: np.partition selects from the low end much faster than from the
+    # high end when most scores tie at zero.
+    if n_open == n:
+        work = -flat
     else:
-        part = np.argpartition(-scores, k - 1)[:k]
-        kth = scores[part].min()
-        above = valid[scores > kth]
-        at_kth = valid[scores == kth]
-        chosen = np.concatenate([above, at_kth[: k - above.size]])
+        work = np.where(taken, np.float32(-1), flat)
+        np.negative(work, out=work)
+    if k >= n_open:
+        chosen = np.flatnonzero(work <= 0) if n_open < n else np.arange(n)
+    else:
+        kth = np.partition(work, k - 1)[k - 1]
+        above = np.flatnonzero(work < kth)
+        at_kth = np.flatnonzero(work == kth)[: k - above.size]
+        chosen = np.concatenate([above, at_kth])
     # Flat C-order index equals (class * Y + y) * X + x, so ascending index
     # is exactly the (class, y, x) tie order.
-    order = np.lexsort((chosen, -flat[chosen].astype(np.float64)))
+    order = np.lexsort((chosen, work[chosen]))
     chosen = chosen[order]
-    plane = spec.size_y * spec.size_x
-    cands = []
-    for idx in chosen.tolist():
-        c, rem = divmod(idx, plane)
-        y, x = divmod(rem, spec.size_x)
-        wx, wy = spec.grid_to_world((x, y))
-        cands.append(Candidate(x, y, c, float(flat[idx]), stage, wx, wy))
-    degenerate = sum(1 for cd in cands if cd.score > 0.0) < k
-    return TopKResult(tuple(cands), degenerate)
+    scores = flat[chosen]
+    cls, rem = np.divmod(chosen, spec.size_y * spec.size_x)
+    ys, xs = np.divmod(rem, spec.size_x)
+    cands = tuple(
+        map(
+            Candidate,
+            xs.tolist(),
+            ys.tolist(),
+            cls.tolist(),
+            scores.tolist(),
+            itertools.repeat(stage),
+            (spec.origin_x + xs * spec.cell_size).tolist(),
+            (spec.origin_y + ys * spec.cell_size).tolist(),
+        )
+    )
+    return TopKResult(cands, int(np.count_nonzero(scores > 0.0)) < k)
 
 
-def _rasterize_box(channel_bits: np.ndarray, box: BevBox, spec: BevGridSpec) -> None:
-    """Set bits for every cell whose sample point lies in the box footprint.
+# Upper bound on padded window cells rasterized at once; a single box whose
+# window is larger still goes alone.
+_RASTER_CHUNK_CELLS = 1 << 20
 
-    Containment is inclusive of the boundary. Cells outside the grid are
-    ignored.
+
+def _rasterize_boxes(
+    bits: np.ndarray, classes: np.ndarray, boxes: Sequence[BevBox], spec: BevGridSpec
+) -> None:
+    """Set bits[class] for every cell whose sample point lies in its box.
+
+    Containment is inclusive of the boundary; cells outside the grid are
+    ignored. Each box is tested only inside its clipped bounding window,
+    with the arithmetic of ``BevBox.corners`` and a per-box point-in-box
+    test, so the result does not depend on how boxes are batched.
     """
-    corners = box.corners()
-    gx = (corners[:, 0] - spec.origin_x) / spec.cell_size
-    gy = (corners[:, 1] - spec.origin_y) / spec.cell_size
-    x0 = max(0, int(math.floor(gx.min())))
-    x1 = min(spec.size_x - 1, int(math.ceil(gx.max())))
-    y0 = max(0, int(math.floor(gy.min())))
-    y1 = min(spec.size_y - 1, int(math.ceil(gy.max())))
-    if x0 > x1 or y0 > y1:
-        return
-    xs = spec.origin_x + np.arange(x0, x1 + 1) * spec.cell_size
-    ys = spec.origin_y + np.arange(y0, y1 + 1) * spec.cell_size
-    dx = xs[None, :] - box.cx
-    dy = ys[:, None] - box.cy
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    inside = (np.abs(u) <= 0.5 * box.length) & (np.abs(v) <= 0.5 * box.width)
-    region = channel_bits[y0 : y1 + 1, x0 : x1 + 1]
-    region[inside] = 1
+    geo = np.array(
+        [(b.cx, b.cy, b.length, b.width, math.cos(b.yaw), math.sin(b.yaw)) for b in boxes],
+        dtype=np.float64,
+    ).reshape(-1, 6)
+    cx, cy, length, width, c, s = geo.T
+    hl, hw = 0.5 * length, 0.5 * width
+    u = hl[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
+    v = hw[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    corner_x = cx[:, None] + c[:, None] * u - s[:, None] * v
+    corner_y = cy[:, None] + s[:, None] * u + c[:, None] * v
+    if not (np.isfinite(corner_x).all() and np.isfinite(corner_y).all()):
+        raise ValueError("box corners must be finite")
+    gx = (corner_x - spec.origin_x) / spec.cell_size
+    gy = (corner_y - spec.origin_y) / spec.cell_size
+    x0 = np.maximum(0.0, np.floor(gx.min(axis=1)))
+    x1 = np.minimum(spec.size_x - 1.0, np.ceil(gx.max(axis=1)))
+    y0 = np.maximum(0.0, np.floor(gy.min(axis=1)))
+    y1 = np.minimum(spec.size_y - 1.0, np.ceil(gy.max(axis=1)))
+    keep = np.flatnonzero((x0 <= x1) & (y0 <= y1))
+    # Windows of similar size share a chunk, which keeps the padding small.
+    keep = keep[np.argsort((x1 - x0 + 1)[keep] * (y1 - y0 + 1)[keep], kind="stable")]
+    x0, x1, y0, y1 = (a[keep].astype(np.int64) for a in (x0, x1, y0, y1))
+    cx, cy, hl, hw, c, s, classes = (a[keep] for a in (cx, cy, hl, hw, c, s, classes))
+    w, h = x1 - x0 + 1, y1 - y0 + 1
+    ws, hs = w.tolist(), h.tolist()
+    flat_bits = bits.reshape(-1)
+    start = 0
+    while start < keep.size:
+        stop, wmax, hmax = start + 1, ws[start], hs[start]
+        while stop < keep.size:
+            wn, hn = max(wmax, ws[stop]), max(hmax, hs[stop])
+            if (stop - start + 1) * hn * wn > _RASTER_CHUNK_CELLS:
+                break
+            stop, wmax, hmax = stop + 1, wn, hn
+        part = slice(start, stop)
+        cols, rows = np.arange(wmax), np.arange(hmax)
+        dx = spec.origin_x + (x0[part, None] + cols) * spec.cell_size - cx[part, None]
+        dy = spec.origin_y + (y0[part, None] + rows) * spec.cell_size - cy[part, None]
+        dx, dy = dx[:, None, :], dy[:, :, None]
+        cb, sb = c[part, None, None], s[part, None, None]
+        inside = np.abs(cb * dx + sb * dy) <= hl[part, None, None]
+        inside &= np.abs(-sb * dx + cb * dy) <= hw[part, None, None]
+        inside &= (cols < w[part, None])[:, None, :]
+        inside &= (rows < h[part, None])[:, :, None]
+        # Flat index of window cell (r, q): base + r * size_x + q.
+        base = (classes[part] * spec.size_y + y0[part]) * spec.size_x + x0[part]
+        flat_bits[(base[:, None, None] + (rows[:, None] * spec.size_x + cols))[inside]] = 1
+        start = stop
 
 
 def build_positive_mask(
@@ -229,9 +282,9 @@ def build_positive_mask(
             raise ValueError(
                 f"{len(candidates)} candidates but {len(boxes)} predicted boxes"
             )
-        for cd, box in zip(candidates, boxes):
-            bits[cd.class_id, cd.y, cd.x] = 1
-            _rasterize_box(bits[cd.class_id], box, spec)
+        classes = np.array([cd.class_id for cd in candidates], dtype=np.int64)
+        bits[classes, [cd.y for cd in candidates], [cd.x for cd in candidates]] = 1
+        _rasterize_boxes(bits, classes, boxes, spec)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown mask type {cfg.mask_type!r}")
     return PositiveMask(spec, bits)
@@ -252,8 +305,8 @@ def apply_mask(heatmap: Heatmap, accumulated: AccumulatedPositiveMask) -> Heatma
     """Zero out claimed cells: values * (1 - bits), untouched elsewhere."""
     if heatmap.spec != accumulated.spec:
         raise ValueError("mask grid spec does not match the heatmap")
-    keep = (1 - accumulated.bits).astype(np.float32)
-    return Heatmap(heatmap.spec, heatmap.values * keep)
+    # bool promotes to float32 1/0, which equals (1 - bits) cast to float32.
+    return Heatmap(heatmap.spec, heatmap.values * (accumulated.bits == 0))
 
 
 StageSource = Callable[[int, tuple[Candidate, ...]], Heatmap]

@@ -16,6 +16,7 @@ from bevprobe.bev_grid import (
     render_gaussian_heatmap,
     save_heatmap,
     world_to_grid,
+    write_grid_tensor,
     _unit_gaussian,
 )
 from bevprobe.errors import DataError
@@ -315,6 +316,23 @@ class TestHeatmapFileFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(DataError):
+            load_heatmap(path)
+
+    def test_oversized_blob_rejected(self, tmp_path):
+        hm = self._heatmap()
+        path = tmp_path / "map.bevgrid"
+        save_heatmap(path, hm)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(DataError, match="header implies"):
+            load_heatmap(path)
+
+    def test_nan_payload_rejected(self, tmp_path):
+        spec = BevGridSpec(3, 2, 1, 1.0, 0.0, 0.0)
+        values = np.zeros(spec.shape, dtype=np.float32)
+        values[0, 1, 2] = np.nan
+        path = tmp_path / "map.bevgrid"
+        write_grid_tensor(path, spec, values, "f32")
+        with pytest.raises(DataError, match="NaN"):
             load_heatmap(path)
 
     def test_not_a_container_rejected(self, tmp_path):

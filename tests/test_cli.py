@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap
+from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap, write_grid_tensor
 from bevprobe.cli import main
 from bevprobe.errors import ConfigError
 from bevprobe.geometry import BevBox
@@ -289,6 +289,53 @@ class TestProbeCommand:
             "probe", "--stage", paths[0], "--output-dir", out, "--k", "3",
             "--mask-type", "pooling", "--pooling-kernel", "4",
         ]) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--box-length", "-1"),
+        ("--box-length", "nan"),
+        ("--box-length", "inf"),
+        ("--box-width", "0"),
+        ("--box-width", "-inf"),
+    ])
+    def test_bad_box_size_is_a_config_error(self, tmp_path, capsys, flag, value):
+        _, paths, _ = stage_files(tmp_path)
+        sizes = {"--box-length": "2.0", "--box-width": "1.0", flag: value}
+        code = main([
+            "probe", "--stage", paths[0], "--output-dir", str(tmp_path / "out"),
+            "--k", "3", "--mask-type", "box",
+            *(f"{name}={size}" for name, size in sizes.items()),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_grid_spanning_box_masks_the_whole_channel(self, tmp_path):
+        spec, paths, _ = stage_files(tmp_path, num_stages=1)
+        out = tmp_path / "out"
+        code = main([
+            "probe", "--stage", paths[0], "--output-dir", str(out), "--k", "1",
+            "--mask-type", "box", "--box-length", "1e300", "--box-width", "1e300",
+        ])
+        assert code == 0
+        (cand,) = candidates_from_jsonl((out / "candidates.jsonl").read_text())
+        bits = load_accumulated_mask(out / "mask_accumulated.bevgrid").bits
+        assert bits[cand.class_id].all()
+        assert bits.sum() == spec.size_x * spec.size_y
+
+    def test_nan_stage_file_is_a_data_error(self, tmp_path, capsys):
+        spec = BevGridSpec(6, 6, 1, 0.5, 0.0, 0.0)
+        values = np.zeros(spec.shape, dtype=np.float32)
+        values[0, 2, 3] = np.nan
+        bad = tmp_path / "nan.bevgrid"
+        write_grid_tensor(bad, spec, values, "f32")
+        code = main([
+            "probe", "--stage", str(bad), "--output-dir", str(tmp_path / "out"), "--k", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(bad) in err
+        assert "Traceback" not in err
 
     def test_missing_stage_file(self, tmp_path):
         code = main([

@@ -245,6 +245,15 @@ class TestBuildPositiveMask:
                         expect[0, y, x] = 1
             np.testing.assert_array_equal(mask.bits, expect)
 
+    @pytest.mark.parametrize("cx,cy,yaw", [
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan),
+    ])
+    def test_box_mode_rejects_non_finite_boxes(self, cx, cy, yaw):
+        spec = make_spec()
+        cfg = HipConfig(num_stages=1, k_per_stage=(1,), mask_type=MaskType.BOX)
+        with pytest.raises(ValueError, match="finite"):
+            build_positive_mask([cand(1, 1)], cfg, spec, boxes=[BevBox(cx, cy, 2.0, 1.0, yaw)])
+
     def test_box_mode_requires_boxes(self):
         spec = make_spec()
         cfg = HipConfig(num_stages=1, k_per_stage=(1,), mask_type=MaskType.BOX)

@@ -1,0 +1,213 @@
+"""Property tests for the vectorized top-k and box-mask layers of ``hip``.
+
+Each test compares the array implementation with a plain oracle: a full
+sort of the open cells for ``topk_select``, and the per-box window
+rasterizer that ``build_positive_mask`` used before it rasterized all of a
+stage's boxes at once.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bevprobe import hip
+from bevprobe.bev_grid import BevGridSpec, Heatmap
+from bevprobe.geometry import BevBox
+from bevprobe.hip import (
+    AccumulatedPositiveMask,
+    Candidate,
+    HipConfig,
+    MaskType,
+    build_positive_mask,
+    topk_select,
+)
+
+
+def full_sort_topk(values, bits, k):
+    """Oracle: open cells sorted by (-score, class, y, x), first k kept."""
+    C, Y, X = values.shape
+    cells = sorted(
+        (-float(values[c, y, x]), c, y, x)
+        for c in range(C)
+        for y in range(Y)
+        for x in range(X)
+        if bits[c, y, x] == 0
+    )
+    return [(c, y, x, -neg) for neg, c, y, x in cells[:k]]
+
+
+def rasterize_box_oracle(channel_bits, box, spec):
+    """One box at a time: test every cell of its clipped bounding window."""
+    corners = box.corners()
+    gx = (corners[:, 0] - spec.origin_x) / spec.cell_size
+    gy = (corners[:, 1] - spec.origin_y) / spec.cell_size
+    x0 = max(0, int(math.floor(gx.min())))
+    x1 = min(spec.size_x - 1, int(math.ceil(gx.max())))
+    y0 = max(0, int(math.floor(gy.min())))
+    y1 = min(spec.size_y - 1, int(math.ceil(gy.max())))
+    if x0 > x1 or y0 > y1:
+        return
+    xs = spec.origin_x + np.arange(x0, x1 + 1) * spec.cell_size
+    ys = spec.origin_y + np.arange(y0, y1 + 1) * spec.cell_size
+    dx = xs[None, :] - box.cx
+    dy = ys[:, None] - box.cy
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    inside = (np.abs(u) <= 0.5 * box.length) & (np.abs(v) <= 0.5 * box.width)
+    region = channel_bits[y0 : y1 + 1, x0 : x1 + 1]
+    region[inside] = 1
+
+
+def box_mask_oracle(candidates, boxes, spec):
+    bits = np.zeros(spec.shape, dtype=np.uint8)
+    for cd, box in zip(candidates, boxes):
+        bits[cd.class_id, cd.y, cd.x] = 1
+        rasterize_box_oracle(bits[cd.class_id], box, spec)
+    return bits
+
+
+BOX_CFG = HipConfig(num_stages=1, k_per_stage=(1,), mask_type=MaskType.BOX)
+
+
+# Round origins, lattice centers, cell-multiple extents and yaw 0 put cell
+# sample points exactly on box edges, where containment is inclusive.
+origins = st.one_of(st.sampled_from([0.0, -3.0, -2.5]), st.floats(-5.0, 5.0))
+yaws = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def grid_specs(draw, max_size=9, max_classes=3):
+    return BevGridSpec(
+        draw(st.integers(1, max_size)),
+        draw(st.integers(1, max_size)),
+        draw(st.integers(1, max_classes)),
+        draw(st.sampled_from([0.1, 0.2, 0.5, 1.0, 0.37])),
+        draw(origins),
+        draw(origins),
+    )
+
+
+@st.composite
+def box_extents(draw, cell):
+    """Sub-cell, ordinary, and grid-spanning footprint extents."""
+    return draw(
+        st.one_of(
+            st.integers(1, 8).map(lambda m: m * cell),
+            st.floats(1e-3 * cell, cell),
+            st.floats(cell, 8.0 * cell),
+            st.sampled_from([1e3, 1e300]),
+        )
+    )
+
+
+class TestTopkProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_sort_under_random_masks(self, data):
+        spec = data.draw(grid_specs(max_size=7))
+        n = spec.num_classes * spec.size_y * spec.size_x
+        # Few quantization levels force ties at the kth score and zeros.
+        levels = data.draw(st.integers(1, 4))
+        steps = data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))
+        values = (np.array(steps, dtype=np.float64) / levels).astype(np.float32)
+        values = values.reshape(spec.shape)
+        mask_kind = data.draw(st.sampled_from(["none", "random", "all"]))
+        if mask_kind == "all":
+            bits = np.ones(spec.shape, dtype=np.uint8)
+        elif mask_kind == "random":
+            flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            bits = np.array(flags, dtype=np.uint8).reshape(spec.shape)
+        else:
+            bits = np.zeros(spec.shape, dtype=np.uint8)
+        accumulated = None if mask_kind == "none" else AccumulatedPositiveMask(spec, bits)
+        # Up to past the grid size, so k >= open cells is covered too.
+        k = data.draw(st.integers(1, n + 3))
+        stage = data.draw(st.integers(0, 4))
+
+        got = topk_select(Heatmap(spec, values), accumulated, k, stage=stage)
+
+        expect = full_sort_topk(values, bits, k)
+        assert [(c.class_id, c.y, c.x, c.score) for c in got.candidates] == expect
+        assert all(c.stage == stage for c in got.candidates)
+        assert all(
+            (c.world_x, c.world_y) == spec.grid_to_world((c.x, c.y))
+            for c in got.candidates
+        )
+        assert all(type(c.x) is int and type(c.score) is float for c in got.candidates)
+        assert got.degenerate == (sum(1 for *_cyx, s in expect if s > 0.0) < k)
+
+
+class TestBoxMaskProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_box_oracle(self, data):
+        spec = data.draw(grid_specs())
+        span_x = spec.size_x * spec.cell_size
+        span_y = spec.size_y * spec.cell_size
+        n = data.draw(st.integers(0, 12))
+        candidates, boxes = [], []
+        for _ in range(n):
+            x = data.draw(st.integers(0, spec.size_x - 1))
+            y = data.draw(st.integers(0, spec.size_y - 1))
+            cls = data.draw(st.integers(0, spec.num_classes - 1))
+            wx, wy = spec.grid_to_world((x, y))
+            candidates.append(Candidate(x, y, cls, 0.5, 0, wx, wy))
+            # Centers reach a full grid span beyond every edge.
+            if data.draw(st.booleans()):
+                cx, cy = spec.grid_to_world(
+                    (data.draw(st.integers(-2, spec.size_x + 1)),
+                     data.draw(st.integers(-2, spec.size_y + 1)))
+                )
+            else:
+                cx = data.draw(st.floats(spec.origin_x - span_x, spec.origin_x + 2 * span_x))
+                cy = data.draw(st.floats(spec.origin_y - span_y, spec.origin_y + 2 * span_y))
+            boxes.append(
+                BevBox(
+                    cx,
+                    cy,
+                    data.draw(box_extents(spec.cell_size)),
+                    data.draw(box_extents(spec.cell_size)),
+                    data.draw(yaws),
+                    cls,
+                )
+            )
+        # Small chunk budgets split the boxes into several batches.
+        chunk = data.draw(st.sampled_from([1, 7, 64, hip._RASTER_CHUNK_CELLS]))
+
+        with mock.patch.object(hip, "_RASTER_CHUNK_CELLS", chunk):
+            mask = build_positive_mask(candidates, BOX_CFG, spec, boxes=boxes)
+
+        assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
+
+    def test_many_boxes_plus_a_grid_spanning_box_stay_in_bounded_memory(self):
+        spec = BevGridSpec(1024, 1024, 1, 0.2, -102.4, -102.4)
+        rng = np.random.default_rng(11)
+        xs = rng.integers(0, spec.size_x, size=2000).tolist()
+        ys = rng.integers(0, spec.size_y, size=2000).tolist()
+        headings = rng.uniform(-math.pi, math.pi, size=2000).tolist()
+        candidates, boxes = [], []
+        for x, y, yaw in zip(xs, ys, headings):
+            wx, wy = spec.grid_to_world((x, y))
+            candidates.append(Candidate(x, y, 0, 0.5, 0, wx, wy))
+            boxes.append(BevBox(wx, wy, 4.5, 2.0, yaw, 0))
+        candidates.append(Candidate(0, 0, 0, 0.5, 0, *spec.grid_to_world((0, 0))))
+        # A thin diagonal strip: its clipped window is the whole grid.
+        boxes.append(BevBox(0.0, 0.0, 1e6, 2.0, 0.3, 0))
+
+        tracemalloc.start()
+        try:
+            mask = build_positive_mask(candidates, BOX_CFG, spec, boxes=boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        # Padding every box to the spanning box's window would take
+        # 2001 x 1024 x 1024 cells; the chunked rasterizer needs a few
+        # grid-sized temporaries.
+        assert peak < 200e6
+        assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
