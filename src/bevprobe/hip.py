@@ -153,7 +153,7 @@ def topk_select(
         work = np.where(taken, np.float32(-1), flat)
         np.negative(work, out=work)
     if k >= n_open:
-        chosen = np.flatnonzero(work <= 0) if n_open < n else np.arange(n)
+        chosen = np.flatnonzero(work <= 0)
     else:
         kth = np.partition(work, k - 1)[k - 1]
         above = np.flatnonzero(work < kth)
@@ -192,31 +192,26 @@ def _rasterize_boxes(
     """Set bits[class] for every cell whose sample point lies in its box.
 
     Containment is inclusive of the boundary; cells outside the grid are
-    ignored. Each box is tested only inside its clipped bounding window,
-    with the arithmetic of ``BevBox.corners`` and a per-box point-in-box
-    test, so the result does not depend on how boxes are batched.
+    ignored. Each box is tested only inside the clipped bounding window of
+    its ``BevBox.corners`` with a per-box point-in-box test, so the result
+    does not depend on how boxes are batched.
     """
+    corners = np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4, 2)
+    if not np.isfinite(corners).all():
+        raise ValueError("box corners must be finite")
     geo = np.array(
         [(b.cx, b.cy, b.length, b.width, math.cos(b.yaw), math.sin(b.yaw)) for b in boxes],
         dtype=np.float64,
     ).reshape(-1, 6)
     cx, cy, length, width, c, s = geo.T
     hl, hw = 0.5 * length, 0.5 * width
-    u = hl[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
-    v = hw[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
-    corner_x = cx[:, None] + c[:, None] * u - s[:, None] * v
-    corner_y = cy[:, None] + s[:, None] * u + c[:, None] * v
-    if not (np.isfinite(corner_x).all() and np.isfinite(corner_y).all()):
-        raise ValueError("box corners must be finite")
-    gx = (corner_x - spec.origin_x) / spec.cell_size
-    gy = (corner_y - spec.origin_y) / spec.cell_size
+    gx = (corners[:, :, 0] - spec.origin_x) / spec.cell_size
+    gy = (corners[:, :, 1] - spec.origin_y) / spec.cell_size
     x0 = np.maximum(0.0, np.floor(gx.min(axis=1)))
     x1 = np.minimum(spec.size_x - 1.0, np.ceil(gx.max(axis=1)))
     y0 = np.maximum(0.0, np.floor(gy.min(axis=1)))
     y1 = np.minimum(spec.size_y - 1.0, np.ceil(gy.max(axis=1)))
     keep = np.flatnonzero((x0 <= x1) & (y0 <= y1))
-    # Windows of similar size share a chunk, which keeps the padding small.
-    keep = keep[np.argsort((x1 - x0 + 1)[keep] * (y1 - y0 + 1)[keep], kind="stable")]
     x0, x1, y0, y1 = (a[keep].astype(np.int64) for a in (x0, x1, y0, y1))
     cx, cy, hl, hw, c, s, classes = (a[keep] for a in (cx, cy, hl, hw, c, s, classes))
     w, h = x1 - x0 + 1, y1 - y0 + 1
