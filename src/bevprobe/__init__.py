@@ -26,11 +26,9 @@ from .bev_grid import (
     GaussianRenderConfig,
     Heatmap,
     gaussian_radius,
-    grid_to_world,
     load_heatmap,
     render_gaussian_heatmap,
     save_heatmap,
-    world_to_grid,
 )
 from .errors import BevProbeError, ConfigError, DataError
 from .geometry import (
@@ -128,7 +126,6 @@ __all__ = [
     "gaussian_focal_loss",
     "gaussian_radius",
     "generate_scene",
-    "grid_to_world",
     "hard_instance_targets",
     "hungarian_assign",
     "load_heatmap",
@@ -141,5 +138,4 @@ __all__ = [
     "run_hip",
     "save_heatmap",
     "topk_select",
-    "world_to_grid",
 ]

@@ -17,12 +17,12 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, from_json
 from .geometry import BevBox
 
 _FORMAT_TAG = "bevprobe-grid-v1"
@@ -47,6 +47,9 @@ class BevGridSpec:
             raise ValueError("num_classes must be at least 1")
         if not self.cell_size > 0.0:
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        far = self.grid_to_world((self.size_x - 1, self.size_y - 1))
+        if not all(map(math.isfinite, far)):
+            raise ValueError(f"origin and cell_size put the far cell at {far}, which is not finite")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -68,14 +71,6 @@ class BevGridSpec:
 
     def contains_cell(self, x: int, y: int) -> bool:
         return 0 <= x < self.size_x and 0 <= y < self.size_y
-
-
-def world_to_grid(point: tuple[float, float], spec: BevGridSpec) -> tuple[float, float]:
-    return spec.world_to_grid(point)
-
-
-def grid_to_world(point: tuple[float, float], spec: BevGridSpec) -> tuple[float, float]:
-    return spec.grid_to_world(point)
 
 
 @dataclass(frozen=True)
@@ -217,31 +212,6 @@ def render_gaussian_heatmap(
     return Heatmap(spec, canvas), skipped
 
 
-def _spec_to_dict(spec: BevGridSpec) -> dict:
-    return {
-        "size_x": spec.size_x,
-        "size_y": spec.size_y,
-        "num_classes": spec.num_classes,
-        "cell_size": spec.cell_size,
-        "origin_x": spec.origin_x,
-        "origin_y": spec.origin_y,
-    }
-
-
-def _spec_from_dict(d: dict, path: str | os.PathLike) -> BevGridSpec:
-    try:
-        return BevGridSpec(
-            size_x=int(d["size_x"]),
-            size_y=int(d["size_y"]),
-            num_classes=int(d["num_classes"]),
-            cell_size=float(d["cell_size"]),
-            origin_x=float(d["origin_x"]),
-            origin_y=float(d["origin_y"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: invalid grid spec in header: {exc}") from exc
-
-
 def write_grid_tensor(
     path: str | os.PathLike, spec: BevGridSpec, values: np.ndarray, dtype: str
 ) -> None:
@@ -259,7 +229,7 @@ def write_grid_tensor(
         raise ValueError(f"tensor shape {arr.shape} does not match grid {spec.shape}")
     header = {
         "format": _FORMAT_TAG,
-        "spec": _spec_to_dict(spec),
+        "spec": asdict(spec),
         "dtype": dtype,
         "layout": "CYX",
         "endianness": "little",
@@ -297,7 +267,7 @@ def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, 
         raise DataError(f"{path}: unsupported layout {header.get('layout')!r}")
     if header.get("endianness") != "little":
         raise DataError(f"{path}: unsupported endianness {header.get('endianness')!r}")
-    spec = _spec_from_dict(header.get("spec") or {}, path)
+    spec = from_json(BevGridSpec, header.get("spec"), f"{path}: spec", err=DataError)
     np_dtype = _DTYPES[dtype]
     expected = spec.num_classes * spec.size_y * spec.size_x * np_dtype.itemsize
     blob_len = len(raw) - newline - 1

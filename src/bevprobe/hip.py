@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bev_grid import BevGridSpec, Heatmap, read_grid_tensor, write_grid_tensor
-from .errors import BevProbeError, DataError
+from .errors import BevProbeError, DataError, from_json
 from .geometry import BevBox
 
 
@@ -76,40 +76,33 @@ class Candidate:
     world_y: float
 
 
-def _frozen_bits(bits: np.ndarray, spec: BevGridSpec) -> np.ndarray:
-    arr = np.array(bits, dtype=np.uint8)
-    if arr.shape != spec.shape:
-        raise ValueError(f"mask shape {arr.shape} does not match grid {spec.shape}")
-    if arr.max() > 1:
-        raise ValueError("mask bits must be 0 or 1")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class PositiveMask:
-    """Per-class 0/1 grid marking cells claimed by one stage's selections."""
+    """Per-class 0/1 grid of claimed cells: one stage's selections, or the
+    elementwise-max union of the stage masks seen so far.
+
+    Bits are copied and frozen at construction.
+    """
 
     spec: BevGridSpec
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _frozen_bits(self.bits, self.spec))
-
-
-@dataclass(frozen=True)
-class AccumulatedPositiveMask:
-    """Elementwise-max union of stage masks seen so far."""
-
-    spec: BevGridSpec
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _frozen_bits(self.bits, self.spec))
+        arr = np.array(self.bits, dtype=np.uint8)
+        if arr.shape != self.spec.shape:
+            raise ValueError(f"mask shape {arr.shape} does not match grid {self.spec.shape}")
+        if arr.max() > 1:
+            raise ValueError("mask bits must be 0 or 1")
+        arr.setflags(write=False)
+        object.__setattr__(self, "bits", arr)
 
     @classmethod
-    def zeros(cls, spec: BevGridSpec) -> "AccumulatedPositiveMask":
+    def zeros(cls, spec: BevGridSpec) -> "PositiveMask":
         return cls(spec, np.zeros(spec.shape, dtype=np.uint8))
+
+
+# A union of stage masks is a PositiveMask too; the older name stays importable.
+AccumulatedPositiveMask = PositiveMask
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class TopKResult:
 
 def topk_select(
     heatmap: Heatmap,
-    accumulated: AccumulatedPositiveMask | None,
+    accumulated: PositiveMask | None,
     k: int,
     stage: int = 0,
 ) -> TopKResult:
@@ -285,18 +278,14 @@ def build_positive_mask(
     return PositiveMask(spec, bits)
 
 
-def accumulate_mask(
-    accumulated: AccumulatedPositiveMask, mask: PositiveMask
-) -> AccumulatedPositiveMask:
+def accumulate_mask(accumulated: PositiveMask, mask: PositiveMask) -> PositiveMask:
     """Fold one stage mask into the running union (elementwise max)."""
     if accumulated.spec != mask.spec:
         raise ValueError("mask grid specs do not match")
-    return AccumulatedPositiveMask(
-        accumulated.spec, np.maximum(accumulated.bits, mask.bits)
-    )
+    return PositiveMask(accumulated.spec, np.maximum(accumulated.bits, mask.bits))
 
 
-def apply_mask(heatmap: Heatmap, accumulated: AccumulatedPositiveMask) -> Heatmap:
+def apply_mask(heatmap: Heatmap, accumulated: PositiveMask) -> Heatmap:
     """Zero out claimed cells: values * (1 - bits), untouched elsewhere."""
     if heatmap.spec != accumulated.spec:
         raise ValueError("mask grid spec does not match the heatmap")
@@ -316,14 +305,14 @@ class StageTrace:
     masked_heatmap: Heatmap
     candidates: tuple[Candidate, ...]
     positive_mask: PositiveMask
-    accumulated_mask: AccumulatedPositiveMask
+    accumulated_mask: PositiveMask
     degenerate: bool
 
 
 @dataclass(frozen=True)
 class HipResult:
     candidates: tuple[Candidate, ...]
-    accumulated_mask: AccumulatedPositiveMask
+    accumulated_mask: PositiveMask
     traces: tuple[StageTrace, ...]
     degenerate: bool
 
@@ -355,7 +344,7 @@ def run_hip(
     if cfg.mask_type is MaskType.BOX and box_provider is None:
         raise ValueError("box masking requires a box_provider")
 
-    accumulated = AccumulatedPositiveMask.zeros(spec)
+    accumulated = PositiveMask.zeros(spec)
     collected: list[Candidate] = []
     traces: list[StageTrace] = []
     for stage in range(cfg.num_stages):
@@ -406,18 +395,7 @@ def candidate_to_dict(cand: Candidate) -> dict:
 
 
 def candidate_from_dict(d: dict) -> Candidate:
-    try:
-        return Candidate(
-            x=int(d["x"]),
-            y=int(d["y"]),
-            class_id=int(d["class_id"]),
-            score=float(d["score"]),
-            stage=int(d["stage"]),
-            world_x=float(d["world_x"]),
-            world_y=float(d["world_y"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid candidate record {d!r}: {exc}") from exc
+    return from_json(Candidate, d, "candidate", err=DataError)
 
 
 # The encoder json.dumps(obj, separators=(",", ":")) builds on every call.
@@ -439,20 +417,20 @@ def candidates_from_jsonl(text: str) -> list[Candidate]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"line {lineno}: malformed JSON: {exc}") from exc
-        out.append(candidate_from_dict(record))
+        out.append(from_json(Candidate, record, f"line {lineno}: candidate", err=DataError))
     return out
 
 
-def save_mask(path: str | os.PathLike, mask: PositiveMask | AccumulatedPositiveMask) -> None:
+def save_mask(path: str | os.PathLike, mask: PositiveMask) -> None:
     """Persist mask bits in the u8 grid-tensor container."""
     write_grid_tensor(path, mask.spec, mask.bits, "u8")
 
 
-def load_accumulated_mask(path: str | os.PathLike) -> AccumulatedPositiveMask:
+def load_accumulated_mask(path: str | os.PathLike) -> PositiveMask:
     spec, values, dtype = read_grid_tensor(path)
     if dtype != "u8":
         raise DataError(f"{path}: expected a u8 mask, found dtype {dtype!r}")
     try:
-        return AccumulatedPositiveMask(spec, values)
+        return PositiveMask(spec, values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

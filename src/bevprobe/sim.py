@@ -22,7 +22,7 @@ import numpy as np
 
 from .assignment import MatchConfig, MatchMetric, classify_stage
 from .bev_grid import BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, radius_for_box
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, from_json
 from .geometry import BevBox
 from .hip import Candidate, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
@@ -459,59 +459,34 @@ def run_experiment(setup: ExperimentSetup, jobs: int = 1) -> ExperimentResult:
     )
 
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {path}{key}")
-    return cfg[key]
+@dataclass(frozen=True)
+class _ConfigFile:
+    """Top level of an experiment config file."""
 
+    rng_seed: int
+    num_scenes: int
+    grid: BevGridSpec
+    scene: dict  # read into SceneParams once the grid is known
+    detectability: DetectabilityModel
+    hip: HipConfig
+    baseline: HipConfig
+    recall: RecallConfig = RecallConfig()
+    render: GaussianRenderConfig = GaussianRenderConfig()
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _integer_fields(section: dict, keys: tuple[str, ...], path: str) -> None:
-    """Require JSON integers for the given keys, and for every entry of a
-    list under them, where present."""
-    for key in keys:
-        if key not in section:
-            continue
-        value = section[key]
-        for item in value if isinstance(value, list) else (value,):
-            _integer(item, f"{path}.{key}")
-
-
-def _build(cls, kwargs: dict, path: str):
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _hip_config_from(cfg: dict, path: str) -> HipConfig:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path} must be an object")
-    kwargs = dict(cfg)
-    if "mask_type" in kwargs:
-        try:
-            kwargs["mask_type"] = MaskType(str(kwargs["mask_type"]).lower())
-        except ValueError as exc:
-            valid = ", ".join(m.value for m in MaskType)
-            raise ConfigError(
-                f"{path}.mask_type: expected one of {valid}, got {kwargs['mask_type']!r}"
-            ) from exc
-        if kwargs["mask_type"] is MaskType.BOX:
-            raise ConfigError(
-                f"{path}.mask_type: box masking needs predicted boxes, "
-                "which the simulator does not produce; use point or pooling"
-            )
-    classes = kwargs.get("small_classes", [])
-    if not isinstance(classes, list):
-        raise ConfigError(f"{path}.small_classes: expected a list, got {classes!r}")
-    _integer_fields(kwargs, ("num_stages", "k_per_stage", "pooling_kernel", "small_classes"), path)
-    kwargs["small_classes"] = frozenset(classes)
-    return _build(HipConfig, kwargs, path)
+    def __post_init__(self) -> None:
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed: expected a non-negative integer, got {self.rng_seed}")
+        for arm in (ARM_PROBE, ARM_BASELINE):
+            cfg: HipConfig = getattr(self, arm)
+            if cfg.mask_type is MaskType.BOX:
+                raise ValueError(
+                    f"{arm}.mask_type: box masking needs predicted boxes, "
+                    "which the simulator does not produce; use point or pooling"
+                )
+            n = self.grid.num_classes
+            outside = sorted(c for c in cfg.small_classes if not 0 <= c < n)
+            if outside:
+                raise ValueError(f"{arm}.small_classes: ids must lie in [0, {n}), got {outside}")
 
 
 def experiment_from_config(cfg: dict) -> ExperimentSetup:
@@ -519,47 +494,17 @@ def experiment_from_config(cfg: dict) -> ExperimentSetup:
 
     Raises ConfigError naming the offending key for anything malformed.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    grid = _require(cfg, "grid", "")
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be an object")
-    _integer_fields(grid, ("size_x", "size_y", "num_classes"), "grid")
-    spec = _build(BevGridSpec, grid, "grid")
-    scene = _require(cfg, "scene", "")
-    if not isinstance(scene, dict):
-        raise ConfigError("scene must be an object")
-    _integer_fields(scene, ("num_objects_range",), "scene")
-    rng_seed = _integer(_require(cfg, "rng_seed", ""), "rng_seed")
-    if rng_seed < 0:
-        raise ConfigError(f"rng_seed: expected a non-negative integer, got {rng_seed}")
-    params = _build(SceneParams, dict(scene, spec=spec, rng_seed=rng_seed), "scene")
-    det = _require(cfg, "detectability", "")
-    if not isinstance(det, dict):
-        raise ConfigError("detectability must be an object")
-    _integer_fields(det, ("clutter_peaks",), "detectability")
-    model = _build(DetectabilityModel, det, "detectability")
-    hip_cfg = _hip_config_from(_require(cfg, "hip", ""), "hip")
-    baseline_cfg = _hip_config_from(_require(cfg, "baseline", ""), "baseline")
-    recall = cfg.get("recall", {})
-    if not isinstance(recall, dict):
-        raise ConfigError("recall must be an object")
-    recall_cfg = _build(RecallConfig, recall, "recall")
-    render = cfg.get("render", {})
-    if not isinstance(render, dict):
-        raise ConfigError("render must be an object")
-    _integer_fields(render, ("min_radius_cells",), "render")
-    render_cfg = _build(GaussianRenderConfig, render, "render")
-    num_scenes = _integer(_require(cfg, "num_scenes", ""), "num_scenes")
+    top = from_json(_ConfigFile, cfg, "")
+    params = from_json(SceneParams, top.scene, "scene", spec=top.grid, rng_seed=top.rng_seed)
     try:
         return ExperimentSetup(
             params=params,
-            model=model,
-            hip_cfg=hip_cfg,
-            baseline_cfg=baseline_cfg,
-            recall_cfg=recall_cfg,
-            num_scenes=num_scenes,
-            render_cfg=render_cfg,
+            model=top.detectability,
+            hip_cfg=top.hip,
+            baseline_cfg=top.baseline,
+            recall_cfg=top.recall,
+            num_scenes=top.num_scenes,
+            render_cfg=top.render,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

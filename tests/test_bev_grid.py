@@ -10,15 +10,14 @@ from bevprobe.bev_grid import (
     Heatmap,
     draw_gaussian_peak,
     gaussian_radius,
-    grid_to_world,
     load_heatmap,
     radius_for_box,
     render_gaussian_heatmap,
     save_heatmap,
-    world_to_grid,
     write_grid_tensor,
     _unit_gaussian,
 )
+from bevprobe.cli import main
 from bevprobe.errors import DataError
 from bevprobe.geometry import BevBox
 
@@ -42,7 +41,7 @@ class TestBevGridSpec:
     def test_world_origin_maps_to_grid_center(self):
         spec = nuscenes_like_spec()
         assert spec.world_to_grid((0.0, 0.0)) == (90.0, 90.0)
-        assert world_to_grid((0.0, 0.0), spec) == (90.0, 90.0)
+        assert spec.world_to_grid((0.0, 0.0)) == (90.0, 90.0)
 
     def test_grid_to_world_inverse(self):
         spec = nuscenes_like_spec()
@@ -53,7 +52,7 @@ class TestBevGridSpec:
             back = spec.grid_to_world(g)
             assert back[0] == pytest.approx(p[0], abs=1e-9)
             assert back[1] == pytest.approx(p[1], abs=1e-9)
-        assert grid_to_world((90.0, 90.0), spec) == (0.0, 0.0)
+        assert spec.grid_to_world((90.0, 90.0)) == (0.0, 0.0)
 
     def test_contains_cell(self):
         spec = BevGridSpec(4, 3, 1, 1.0, 0.0, 0.0)
@@ -344,7 +343,7 @@ class TestHeatmapFileFormat:
         with pytest.raises(DataError):
             load_heatmap(path)
 
-    def test_bad_header_spec_rejected(self, tmp_path):
+    def test_bad_header_spec_rejected(self, tmp_path, capsys):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
         save_heatmap(path, hm)
@@ -354,6 +353,21 @@ class TestHeatmapFileFormat:
         path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
         with pytest.raises(DataError):
             load_heatmap(path)
+        cases = [
+            ("origin_x", math.nan), ("cell_size", math.inf), ("num_classes", True),
+            ("size_x", 12.0), ("cell_size", 1e308),
+        ]
+        for field, value in cases:
+            doc = json.loads(header)
+            doc["spec"][field] = value
+            path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+            with pytest.raises(DataError, match=field):
+                load_heatmap(path)
+            out = tmp_path / "out"
+            assert main(["probe", "--stage", str(path), "--output-dir", str(out), "--k", "3"]) == 3
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_out_of_range_payload_rejected(self, tmp_path):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)

@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap, write_grid_tensor
 from bevprobe.cli import main
@@ -173,6 +181,21 @@ class TestSimulateCommand:
             ("baseline", "k_per_stage", [10.5]),
             ("scene", "num_objects_range", [3.5, 5]),
             ("render", "min_radius_cells", 2.5),
+            ("grid", "origin_x", math.nan),
+            ("grid", "cell_size", math.inf),
+            ("scene", "size_table", [[math.inf, 2.0, 0.1], [0.8, 0.6, 0.1]]),
+            ("grid", "cell_size", True),
+            ("scene", "class_mix", [True, False]),
+            ("recall", "class_agnostic", "yes"),
+            ("recall", "thresholds", [1.0, math.inf]),
+            ("detectability", "stage_gain", math.inf),
+            (None, "unknown_section", {}),
+            ("scene", "size_table", [4.0, 2.0]),
+            ("hip", "k_per_stage", 5),
+            ("hip", "small_classes", [7]),
+            ("hip", "small_classes", [-1]),
+            ("baseline", "small_classes", [2]),
+            ("hip", "mask_type", "POINT"),
         ],
     )
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
@@ -362,6 +385,76 @@ class TestProbeCommand:
             "probe", "--stage", str(bad), "--output-dir", str(tmp_path / "out"), "--k", "3",
         ])
         assert code == 3
+
+
+# Replacement values for the boundary fuzz; DELETE drops the key or entry.
+DELETE = object()
+FUZZ_POOL = [None, True, "x", math.nan, math.inf, -math.inf, -1, 0, 2.5, [], {}, DELETE]
+
+
+def json_slots(node, path=()):
+    """Paths to every key and list entry of a JSON tree, at any depth."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_slots(child, path + (key,))
+
+
+def mutated(doc, slot, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in slot[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[slot[-1]]
+    else:
+        parent[slot[-1]] = value
+    return doc
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestBoundaryFuzz:
+    """One mutated key or entry must end in a clean exit, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        slot=st.sampled_from(list(json_slots(tiny_config()))),
+        value=st.sampled_from(FUZZ_POOL),
+    )
+    def test_mutated_config_exits_0_or_2(self, slot, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "config.json"
+            cfg_path.write_text(json.dumps(mutated(tiny_config(), slot, value)))
+            code, err = run_quietly(
+                ["simulate", "--config", str(cfg_path), "--output-dir", str(Path(tmp) / "o")]
+            )
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from([f.name for f in dataclasses.fields(BevGridSpec)]),
+        value=st.sampled_from(FUZZ_POOL),
+    )
+    def test_mutated_grid_header_exits_0_or_3(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, (path,), _ = stage_files(Path(tmp), num_stages=1, size=6)
+            header, blob = Path(path).read_bytes().split(b"\n", 1)
+            doc = mutated(json.loads(header), ("spec", field), value)
+            Path(path).write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+            out = Path(tmp) / "out"
+            code, err = run_quietly(["probe", "--stage", path, "--output-dir", str(out), "--k", "3"])
+            if code == 0:
+                text = (out / "candidates.jsonl").read_text()
+                assert "NaN" not in text and "Infinity" not in text
+        assert code in (0, 3), err
+        assert "Traceback" not in err
 
 
 def detection_dump(tmp_path):

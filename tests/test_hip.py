@@ -507,11 +507,12 @@ class TestCandidateSerialization:
         assert list(record) == ["stage", "x", "y", "class_id", "score", "world_x", "world_y"]
 
     def test_malformed_line_rejected(self):
+        good = '{"stage":0,"x":1,"y":2,"class_id":0,"score":0.5,"world_x":1.0,"world_y":2.0}\n'
         with pytest.raises(DataError, match="line 2"):
-            candidates_from_jsonl(
-                '{"stage":0,"x":1,"y":2,"class_id":0,"score":0.5,"world_x":1.0,"world_y":2.0}\n'
-                "not json\n"
-            )
+            candidates_from_jsonl(good + "not json\n")
+        for bad in (good.replace('"x":1', '"x":1.5'), good.replace("0.5", "NaN")):
+            with pytest.raises(DataError, match="line 2: candidate"):
+                candidates_from_jsonl(good + bad)
 
     def test_missing_field_rejected(self):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,6 +625,14 @@ class TestExperimentFromConfig:
         setup = experiment_from_config(cfg)
         assert setup.recall_cfg.thresholds == (1.0, 2.0)
         assert setup.render_cfg.min_overlap == 0.2
+
+    def test_readme_schema_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config schema", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        setup = experiment_from_config(json.loads(block))
+        assert setup.num_scenes == 200
+        assert setup.hip_cfg.mask_type is MaskType.POOLING
 
     def test_packaged_reference_config_parses(self):
         from importlib import resources
