@@ -100,6 +100,19 @@ def _recall_curve_points(pooled: dict) -> list[tuple[float, float]]:
     return pts
 
 
+def _write_recall_curve(out: Path, series: dict[str, list[tuple[float, float]]]) -> None:
+    """Draw recall_curve.svg; `simulate` and `report` both write it here."""
+    _write_text(
+        out / "recall_curve.svg",
+        line_chart(
+            series,
+            title="Pooled recall vs match distance",
+            x_label="match distance threshold (m)",
+            y_label="recall",
+        ),
+    )
+
+
 def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool) -> int:
     cfg = _read_json(Path(config_path), "experiment config", err=ConfigError)
     setup = experiment_from_config(cfg)
@@ -153,15 +166,7 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
         arm: _recall_curve_points(summary["arms"][arm]["pooled"])
         for arm in sorted((ARM_PROBE, ARM_BASELINE))
     }
-    _write_text(
-        out / "recall_curve.svg",
-        line_chart(
-            series,
-            title="Pooled recall vs match distance",
-            x_label="match distance threshold (m)",
-            y_label="recall",
-        ),
-    )
+    _write_recall_curve(out, series)
     if save_scenes:
         scene_lines = []
         from dataclasses import replace as _replace
@@ -398,15 +403,7 @@ def cmd_report(summary_path: str, output_dir: str) -> int:
                     "num_matched": matched.get(repr(t), 0),
                 }
             )
-    _write_text(
-        out / "recall_curve.svg",
-        line_chart(
-            series,
-            title="Pooled recall vs match distance",
-            x_label="match distance threshold (m)",
-            y_label="recall",
-        ),
-    )
+    _write_recall_curve(out, series)
     write_recall_csv(out / "recall_summary.csv", rows)
     return 0
 

@@ -7,7 +7,9 @@ DataError with 3. Everything else is a plain bug and propagates.
 
 import dataclasses
 import enum
+import functools
 import sys
+import types
 import typing
 
 
@@ -24,6 +26,8 @@ class DataError(BevProbeError):
 
 
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", dict: "an object"}
+# One entry per dataclass read, shared by every caller: treat it as read-only.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _at(path: str, key: str) -> str:
@@ -34,6 +38,8 @@ def _typed(tp, value, path: str, err: type[BevProbeError]):
     """Check one JSON value against a field annotation. Lists become tuples
     or frozensets and strings become enum members; all else passes as is."""
     origin = typing.get_origin(tp)
+    if origin is types.UnionType:  # ``T | None``, the only union in use
+        return None if value is None else _typed(typing.get_args(tp)[0], value, path, err)
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise err(f"{path}: expected a list, got {value!r}")
@@ -73,13 +79,14 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
     its annotation: ``int`` takes a JSON integer, ``float`` a finite
     number, ``bool`` true or false, ``dict`` and a nested dataclass an
     object, ``tuple`` and ``frozenset`` a list (of fixed length for a fixed
-    tuple) whose entries are checked in turn, and an enum its exact value.
+    tuple) whose entries are checked in turn, an enum its exact value, and
+    ``T | None`` null or a ``T``.
     Unknown keys, missing required keys and ``cls``'s own range checks (a
     ValueError or OverflowError) all raise ``err`` naming the key path.
     """
     if not isinstance(raw, dict):
         raise err(f"{path or 'config'}: expected an object, got {raw!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
     for key in raw:
         if key not in fields:

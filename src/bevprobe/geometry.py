@@ -202,33 +202,37 @@ def box_pool_points(box: BevBox, cfg: BoxPoolConfig = BoxPoolConfig()) -> np.nda
     return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
 
+def _bilinear_gather(values: np.ndarray, gx, gy) -> np.ndarray:
+    """Bilinearly sample every channel of ``values[C][Y][X]`` at the points
+    (gx[i], gy[i]), reading zero outside the grid; returns float64 (n, C)."""
+    gx, gy = np.asarray([gx, gy], dtype=np.float64)
+    if not np.isfinite(gx).all() or not np.isfinite(gy).all():
+        raise ValueError("sample coordinates must be finite")
+    _, ny, nx = values.shape
+    x0, y0 = np.floor(gx), np.floor(gy)
+    fx, fy = gx - x0, gy - y0
+    xs = x0[:, None] + (0.0, 1.0, 0.0, 1.0)  # corners 00, 10, 01, 11
+    ys = y0[:, None] + (0.0, 0.0, 1.0, 1.0)
+    inside = (0 <= xs) & (xs < nx) & (0 <= ys) & (ys < ny)
+    ix = np.clip(xs, 0, nx - 1).astype(np.intp)
+    iy = np.clip(ys, 0, ny - 1).astype(np.intp)
+    v = np.where(inside, values[:, iy, ix].astype(np.float64), 0.0)
+    # Weight times value, summed left to right: a per-point loop's rounding.
+    return (
+        (1.0 - fx) * (1.0 - fy) * v[..., 0]
+        + fx * (1.0 - fy) * v[..., 1]
+        + (1.0 - fx) * fy * v[..., 2]
+        + fx * fy * v[..., 3]
+    ).T
+
+
 def bilinear_sample(channel: np.ndarray, gx: float, gy: float) -> float:
     """Bilinearly interpolate one grid channel at fractional (gx, gy).
 
     Integer coordinates address stored values exactly; anything outside the
     grid reads as zero, so samples decay to 0 within one cell of the border.
     """
-    ny, nx = channel.shape
-    x0 = math.floor(gx)
-    y0 = math.floor(gy)
-    fx = gx - x0
-    fy = gy - y0
-
-    def at(ix: int, iy: int) -> float:
-        if 0 <= ix < nx and 0 <= iy < ny:
-            return float(channel[iy, ix])
-        return 0.0
-
-    v00 = at(x0, y0)
-    v10 = at(x0 + 1, y0)
-    v01 = at(x0, y0 + 1)
-    v11 = at(x0 + 1, y0 + 1)
-    return (
-        (1.0 - fx) * (1.0 - fy) * v00
-        + fx * (1.0 - fy) * v10
-        + (1.0 - fx) * fy * v01
-        + fx * fy * v11
-    )
+    return float(_bilinear_gather(np.asarray(channel)[None], [gx], [gy])[0, 0])
 
 
 def box_pool(
@@ -245,15 +249,8 @@ def box_pool(
     """
     if spec is not None and spec != heatmap.spec:
         raise ValueError("spec does not match the heatmap's own grid spec")
-    grid = heatmap.spec
-    pts = box_pool_points(box, cfg)
-    num_classes = heatmap.values.shape[0]
-    out = np.empty(len(pts) * num_classes, dtype=np.float64)
-    for i, (wx, wy) in enumerate(pts):
-        gx, gy = grid.world_to_grid((wx, wy))
-        for c in range(num_classes):
-            out[i * num_classes + c] = bilinear_sample(heatmap.values[c], gx, gy)
-    return out
+    gx, gy = heatmap.spec.world_to_grid(box_pool_points(box, cfg).T)
+    return _bilinear_gather(heatmap.values, gx, gy).ravel()
 
 
 def deform_sample(
@@ -283,13 +280,9 @@ def deform_sample(
         if hm.values.shape[0] != num_classes:
             raise ValueError(f"pyramid level {level} has a different channel count")
     gx0, gy0 = pyramid[0].spec.world_to_grid(ref)
-    out = np.empty((cfg.num_scales, cfg.points_per_scale, num_classes), dtype=np.float64)
-    for s in range(cfg.num_scales):
-        factor = cfg.scale_factors[s]
-        hm = pyramid[s]
-        for j in range(cfg.points_per_scale):
-            gx = gx0 / factor + offsets[s, j, 0]
-            gy = gy0 / factor + offsets[s, j, 1]
-            for c in range(num_classes):
-                out[s, j, c] = bilinear_sample(hm.values[c], gx, gy)
-    return out
+    return np.stack(
+        [
+            _bilinear_gather(hm.values, gx0 / factor + off[:, 0], gy0 / factor + off[:, 1])
+            for hm, factor, off in zip(pyramid, cfg.scale_factors, offsets)
+        ]
+    )

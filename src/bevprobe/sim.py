@@ -16,7 +16,8 @@ runs may be parallelized across processes without changing any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -74,6 +75,14 @@ class SceneParams:
                 raise ValueError(f"size_table[{c}] jitter must lie in [0, 1)")
         if not self.min_same_class_separation > 0.0:
             raise ValueError("min_same_class_separation must be positive")
+        # Object placement squares center offsets up to the grid's span.
+        span_x = (self.spec.size_x - 1) * self.spec.cell_size
+        span_y = (self.spec.size_y - 1) * self.spec.cell_size
+        if not math.isfinite(span_x * span_x + span_y * span_y):
+            raise ValueError(
+                f"grid.size_x, grid.size_y and grid.cell_size span {span_x:g} x {span_y:g} m, "
+                "whose squared diagonal is not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -271,41 +280,20 @@ def oracle_stage_heatmap(
 
 
 def scene_to_dict(scene: SyntheticScene) -> dict:
-    return {
-        "gts": [
-            {
-                "cx": g.cx, "cy": g.cy, "length": g.length, "width": g.width,
-                "yaw": g.yaw, "class_id": g.class_id,
-            }
-            for g in scene.gts
-        ],
-        "amplitudes": list(scene.amplitudes),
-        "clutter": [
-            {"x": p.x, "y": p.y, "class_id": p.class_id, "amplitude": p.amplitude}
-            for p in scene.clutter
-        ],
-    }
+    d = {name: list(items) for name, items in asdict(scene).items()}
+    for g in d["gts"]:
+        del g["score"]  # ground truth carries no detector score
+    return d
 
 
 def scene_from_dict(d: dict) -> SyntheticScene:
+    """Read a scene record; a ``--save-scenes`` line's ``scene_id`` and
+    ``seed`` keys are skipped."""
+    if isinstance(d, dict):
+        d = {k: v for k, v in d.items() if k not in ("scene_id", "seed")}
     try:
-        gts = tuple(
-            BevBox(
-                cx=float(g["cx"]), cy=float(g["cy"]), length=float(g["length"]),
-                width=float(g["width"]), yaw=float(g["yaw"]), class_id=int(g["class_id"]),
-            )
-            for g in d["gts"]
-        )
-        amplitudes = tuple(float(a) for a in d["amplitudes"])
-        clutter = tuple(
-            ClutterPeak(
-                x=int(p["x"]), y=int(p["y"]), class_id=int(p["class_id"]),
-                amplitude=float(p["amplitude"]),
-            )
-            for p in d["clutter"]
-        )
-        return SyntheticScene(gts, amplitudes, clutter)
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_json(SyntheticScene, d, "scene", err=DataError)
+    except DataError as exc:
         raise DataError(f"invalid scene record: {exc}") from exc
 
 

@@ -34,10 +34,11 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def _axes(x_label: str, y_label: str) -> list[str]:
+def _axes(x_label: str, y_label: str, y_min: float, y_span: float) -> list[str]:
+    """Axis lines and titles, and five gridlines labeled ``y_min + frac * y_span``."""
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
     x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
-    return [
+    parts = [
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{(x0 + x1) / 2:.0f}" y="{_HEIGHT - 14}" text-anchor="middle" '
@@ -46,6 +47,18 @@ def _axes(x_label: str, y_label: str) -> list[str]:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(y_label)}</text>',
     ]
+    px, py, pw, ph = _plot_area()
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        gy = py + ph - frac * ph
+        parts.append(
+            f'<line x1="{px:.2f}" y1="{gy:.2f}" x2="{px + pw:.2f}" y2="{gy:.2f}" '
+            f'stroke="#dddddd"/>'
+        )
+        parts.append(
+            f'<text x="{px - 8:.2f}" y="{gy + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{_fmt(y_min + frac * y_span)}</text>'
+        )
+    return parts
 
 
 def _plot_area() -> tuple[float, float, float, float]:
@@ -97,17 +110,7 @@ def line_chart(
     def sy(y: float) -> float:
         return py + ph - (y - y_min) / span_y * ph
 
-    parts = _header(title) + _axes(x_label, y_label)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        gy = py + ph - frac * ph
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{gy:.2f}" x2="{px + pw:.2f}" y2="{gy:.2f}" '
-            f'stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{px - 8:.2f}" y="{gy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(y_min + frac * span_y)}</text>'
-        )
+    parts = _header(title) + _axes(x_label, y_label, y_min, span_y)
     for x in sorted(set(xs)):
         parts.append(
             f'<text x="{sx(x):.2f}" y="{py + ph + 18:.2f}" text-anchor="middle" '
@@ -148,17 +151,7 @@ def grouped_bar_chart(
     group_w = pw / n_groups
     bar_w = group_w * 0.8 / n_series
 
-    parts = _header(title) + _axes(x_label, y_label)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        gy = py + ph - frac * ph
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{gy:.2f}" x2="{px + pw:.2f}" y2="{gy:.2f}" '
-            f'stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{px - 8:.2f}" y="{gy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(frac * y_max)}</text>'
-        )
+    parts = _header(title) + _axes(x_label, y_label, 0.0, y_max)
     for gi, group in enumerate(groups):
         gx = px + gi * group_w
         parts.append(

@@ -196,6 +196,7 @@ class TestSimulateCommand:
             ("hip", "small_classes", [-1]),
             ("baseline", "small_classes", [2]),
             ("hip", "mask_type", "POINT"),
+            ("grid", "cell_size", 1e298),
         ],
     )
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
@@ -453,6 +454,19 @@ class TestBoundaryFuzz:
             if code == 0:
                 text = (out / "candidates.jsonl").read_text()
                 assert "NaN" not in text and "Infinity" not in text
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=st.sampled_from(FUZZ_POOL))
+    def test_mutated_dump_exits_0_or_3(self, data, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, dump = detection_dump(Path(tmp))
+            slot = data.draw(st.sampled_from(list(json_slots(dump))), label="slot")
+            path.write_text(json.dumps(mutated(dump, slot, value)))
+            code, err = run_quietly(
+                ["audit", "--dump", str(path), "--output-dir", str(Path(tmp) / "o")]
+            )
         assert code in (0, 3), err
         assert "Traceback" not in err
 

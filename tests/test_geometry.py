@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bevprobe.bev_grid import BevGridSpec, Heatmap
 from bevprobe.geometry import (
@@ -283,12 +286,17 @@ class TestBoxPoolPoints:
 
 
 def reference_bilinear(channel, gx, gy):
-    """Test-local re-derivation with explicit zero padding."""
+    """Test-local re-derivation with explicit zero padding.
+
+    Terms are added x-fastest, (x0, y0), (x0+1, y0), (x0, y0+1),
+    (x0+1, y0+1), each as ``wx * wy * value``, so the sum rounds exactly
+    as the package's kernel does and results compare with ``==``.
+    """
     ny, nx = channel.shape
     x0, y0 = math.floor(gx), math.floor(gy)
     total = 0.0
-    for ix, wx in ((x0, 1.0 - (gx - x0)), (x0 + 1, gx - x0)):
-        for iy, wy in ((y0, 1.0 - (gy - y0)), (y0 + 1, gy - y0)):
+    for iy, wy in ((y0, 1.0 - (gy - y0)), (y0 + 1, gy - y0)):
+        for ix, wx in ((x0, 1.0 - (gx - x0)), (x0 + 1, gx - x0)):
             v = channel[iy, ix] if 0 <= ix < nx and 0 <= iy < ny else 0.0
             total += wx * wy * float(v)
     return total
@@ -328,6 +336,110 @@ class TestBilinearSample:
             assert bilinear_sample(channel, gx, gy) == pytest.approx(
                 reference_bilinear(channel, gx, gy), abs=1e-12
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        channel = np.ones((3, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="finite"):
+            bilinear_sample(channel, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            bilinear_sample(channel, 1.0, bad)
+
+
+# Sample coordinates in grid cells: lattice points (the border included),
+# half-cell points and arbitrary points, inside and up to 3 cells outside
+# grids of 1 to 8 cells a side.
+COORDS = st.one_of(
+    st.integers(-3, 11).map(float),
+    st.integers(-3, 11).map(lambda i: i + 0.5),
+    st.floats(-3.0, 11.0),
+)
+
+
+@st.composite
+def random_heatmap(draw, num_classes=None, cell_size=None):
+    spec = BevGridSpec(
+        draw(st.integers(1, 8)),
+        draw(st.integers(1, 8)),
+        num_classes or draw(st.integers(1, 3)),
+        cell_size or draw(st.sampled_from([0.5, 1.0, 1.3])),
+        draw(st.sampled_from([0.0, -1.0, 0.25])),
+        draw(st.sampled_from([0.0, -2.0, 0.4])),
+    )
+    values = draw(arrays(np.float32, spec.shape, elements=st.floats(0.0, 1.0, width=32)))
+    return Heatmap(spec, values)
+
+
+class TestSamplingMatchesReference:
+    """Every sampler equals a per-point, per-channel loop over
+    ``reference_bilinear`` exactly, not just to a tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hm=random_heatmap(), gx=COORDS, gy=COORDS)
+    def test_bilinear_sample(self, hm, gx, gy):
+        for channel in hm.values:
+            got = bilinear_sample(channel, gx, gy)
+            assert type(got) is float
+            assert got == reference_bilinear(channel, gx, gy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hm=random_heatmap(),
+        cx=COORDS,
+        cy=COORDS,
+        length=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+        width=st.sampled_from([0.5, 1.0, 2.0, 2.9]),
+        yaw=st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(-math.pi, math.pi)),
+        grid=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        expansion=st.sampled_from([1.0, 1.2]),
+    )
+    def test_box_pool(self, hm, cx, cy, length, width, yaw, grid, expansion):
+        box = BevBox(cx, cy, length, width, yaw)
+        cfg = BoxPoolConfig(*grid, expansion)
+        expect = []
+        for wx, wy in box_pool_points(box, cfg):
+            gx, gy = hm.spec.world_to_grid((wx, wy))
+            expect.extend(reference_bilinear(channel, gx, gy) for channel in hm.values)
+        got = box_pool(hm, box, cfg)
+        assert got.dtype == np.float64
+        assert got.shape == (len(expect),)
+        assert got.tolist() == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        num_classes=st.integers(1, 3),
+        ref=st.tuples(COORDS, COORDS),
+        points=st.integers(1, 4),
+    )
+    def test_deform_sample(self, data, num_classes, ref, points):
+        cfg = DeformSamplingConfig(points, 3, (1, 2, 4))
+        pyramid = [
+            data.draw(random_heatmap(num_classes, cell_size=0.5 * factor))
+            for factor in cfg.scale_factors
+        ]
+        offsets = data.draw(
+            arrays(np.float64, (3, points, 2), elements=st.one_of(
+                st.integers(-3, 3).map(float), st.floats(-3.0, 3.0)
+            ))
+        )
+        gx0, gy0 = pyramid[0].spec.world_to_grid(ref)
+        expect = [
+            [
+                [
+                    reference_bilinear(
+                        channel, gx0 / factor + offsets[s, j, 0], gy0 / factor + offsets[s, j, 1]
+                    )
+                    for channel in pyramid[s].values
+                ]
+                for j in range(points)
+            ]
+            for s, factor in enumerate(cfg.scale_factors)
+        ]
+        got = deform_sample(pyramid, ref, offsets, cfg)
+        assert got.dtype == np.float64
+        assert got.shape == (3, points, num_classes)
+        assert got.tolist() == expect
 
 
 class TestBoxPool:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,25 @@ class TestSceneSerialization:
             scene_from_dict({"gts": [{"cx": 0.0}], "amplitudes": [], "clutter": []})
         with pytest.raises(DataError):
             scene_from_dict({})
+
+    @pytest.mark.parametrize(
+        "path, value, name",
+        [
+            (("gts", 0, "cx"), "1.5", "scene.gts[0].cx"),
+            (("gts", 0, "class_id"), 1.0, "scene.gts[0].class_id"),
+            (("amplitudes", 0), math.nan, "scene.amplitudes[0]"),
+            (("clutter", 0, "amplitude"), math.nan, "scene.clutter[0].amplitude"),
+            (("clutter", 0, "x"), "3", "scene.clutter[0].x"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, path, value, name):
+        record = scene_to_dict(generate_scene(make_params(seed=5), make_model(clutter_peaks=3)))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(DataError, match=re.escape(f"invalid scene record: {name}:")):
+            scene_from_dict(record)
 
 
 class TestExperiment:
