@@ -253,27 +253,35 @@ def cmd_probe(
     return 0
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _box_from_record(record, where: str, scored: bool) -> BevBox:
     if not isinstance(record, dict):
         raise DataError(f"{where}: expected an object, got {type(record).__name__}")
     try:
         kwargs = {
-            "cx": float(record["cx"]),
-            "cy": float(record["cy"]),
-            "length": float(record["length"]),
-            "width": float(record["width"]),
-            "yaw": float(record.get("yaw", 0.0)),
-            "class_id": int(record.get("class_id", 0)),
+            "cx": record["cx"],
+            "cy": record["cy"],
+            "length": record["length"],
+            "width": record["width"],
+            "yaw": record.get("yaw", 0.0),
         }
         if scored:
-            kwargs["score"] = float(record["score"])
-        if not all(map(math.isfinite, kwargs.values())):
-            name, value = next((k, v) for k, v in kwargs.items() if not math.isfinite(v))
-            raise DataError(f"{where}: field {name!r} must be finite, got {value!r}")
-        return BevBox(**kwargs)
+            kwargs["score"] = record["score"]
     except KeyError as exc:
         raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    for name, value in kwargs.items():
+        # Exact types: JSON true/false parse as bool, a subclass of int.
+        if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
+            raise DataError(f"{where}: field {name!r} must be a finite number, got {value!r}")
+        kwargs[name] = float(value)
+    class_id = record.get("class_id", 0)
+    if type(class_id) is not int or not -(2**63) <= class_id < 2**63:
+        raise DataError(f"{where}: field 'class_id' must be a 64-bit integer, got {class_id!r}")
+    try:
+        return BevBox(**kwargs, class_id=class_id)
+    except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

@@ -82,7 +82,8 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
     tuple) whose entries are checked in turn, an enum its exact value, and
     ``T | None`` null or a ``T``.
     Unknown keys, missing required keys and ``cls``'s own range checks (a
-    ValueError or OverflowError) all raise ``err`` naming the key path.
+    ValueError or OverflowError) all raise ``err`` naming the key path; a
+    range check names its key by opening its message with the field name.
     """
     if not isinstance(raw, dict):
         raise err(f"{path or 'config'}: expected an object, got {raw!r}")
@@ -100,4 +101,6 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
     try:
         return cls(**kwargs)
     except (ValueError, OverflowError) as exc:
-        raise err(f"{path}: {exc}" if path else str(exc)) from exc
+        msg = str(exc)
+        sep = "." if msg.split(" ", 1)[0] in fields else ": "
+        raise err(f"{path}{sep}{msg}" if path else msg) from exc

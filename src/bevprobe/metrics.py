@@ -43,34 +43,41 @@ class RecallConfig:
 
 @dataclass(frozen=True)
 class RecallReport:
-    """Recall at each threshold plus their mean and per-class breakdown.
+    """Ground-truth and match counts, overall and per ground-truth class id.
 
-    ``per_class_recall`` is keyed by ground-truth class id, then threshold.
-    A report over zero ground truth has recall 1.0 everywhere and
-    ``empty_gt`` set.
+    Match counts are keyed by threshold in sweep order. The recall
+    properties are derived from these counts alone.
     """
 
-    per_threshold_recall: dict[float, float]
-    mean_average_recall: float
-    per_class_recall: dict[int, dict[float, float]]
     num_gt: int
     num_pred: int
     num_matched: dict[float, int]
     per_class_gt: dict[int, int] = field(default_factory=dict)
     per_class_matched: dict[int, dict[float, int]] = field(default_factory=dict)
-    empty_gt: bool = False
 
+    @property
+    def empty_gt(self) -> bool:
+        return self.num_gt == 0
 
-def _empty_report(thresholds: Sequence[float], num_pred: int) -> RecallReport:
-    return RecallReport(
-        per_threshold_recall={t: 1.0 for t in thresholds},
-        mean_average_recall=1.0,
-        per_class_recall={},
-        num_gt=0,
-        num_pred=num_pred,
-        num_matched={t: 0 for t in thresholds},
-        empty_gt=True,
-    )
+    @property
+    def per_threshold_recall(self) -> dict[float, float]:
+        """Matched over ground truth; 1.0 everywhere for zero ground truth."""
+        if self.empty_gt:
+            return {t: 1.0 for t in self.num_matched}
+        return {t: m / self.num_gt for t, m in self.num_matched.items()}
+
+    @property
+    def mean_average_recall(self) -> float:
+        """Plain mean of the per-threshold recalls, summed in sweep order."""
+        recalls = self.per_threshold_recall
+        return sum(recalls.values()) / len(recalls)
+
+    @property
+    def per_class_recall(self) -> dict[int, dict[float, float]]:
+        return {
+            c: {t: m / self.per_class_gt[c] for t, m in matched.items()}
+            for c, matched in self.per_class_matched.items()
+        }
 
 
 def average_recall(
@@ -85,34 +92,24 @@ def average_recall(
     """
     thresholds = cfg.thresholds
     if len(gts) == 0:
-        return _empty_report(thresholds, len(preds))
+        return RecallReport(0, len(preds), {t: 0 for t in thresholds})
     gt_cls = [int(g.class_id) for g in gts]
     classes = sorted(set(gt_cls))
-    class_gt = {c: gt_cls.count(c) for c in classes}
     _, per_threshold_pairs = match_thresholds(
         preds, gts, thresholds, class_consistent=not cfg.class_agnostic
     )
-    per_threshold: dict[float, float] = {}
     matched_counts: dict[float, int] = {}
     class_matched: dict[int, dict[float, int]] = {c: {} for c in classes}
     for t, pairs in zip(thresholds, per_threshold_pairs):
         matched_counts[t] = len(pairs)
-        per_threshold[t] = len(pairs) / len(gts)
         hit_cls = [gt_cls[j] for j, _i, _s in pairs]
         for c in classes:
             class_matched[c][t] = hit_cls.count(c)
-    per_class = {
-        c: {t: class_matched[c][t] / class_gt[c] for t in thresholds} for c in classes
-    }
-    mar = sum(per_threshold[t] for t in thresholds) / len(thresholds)
     return RecallReport(
-        per_threshold_recall=per_threshold,
-        mean_average_recall=mar,
-        per_class_recall=per_class,
         num_gt=len(gts),
         num_pred=len(preds),
         num_matched=matched_counts,
-        per_class_gt=class_gt,
+        per_class_gt={c: gt_cls.count(c) for c in classes},
         per_class_matched=class_matched,
     )
 
@@ -141,11 +138,6 @@ def merge_reports(
     weights scenes by ground-truth count, unlike a mean of per-scene means.
     """
     thresholds = cfg.thresholds
-    total_gt = sum(r.num_gt for r in reports)
-    total_pred = sum(r.num_pred for r in reports)
-    matched = {t: sum(r.num_matched.get(t, 0) for r in reports) for t in thresholds}
-    if total_gt == 0:
-        return _empty_report(thresholds, total_pred)
     class_gt: dict[int, int] = {}
     class_matched: dict[int, dict[float, int]] = {}
     for r in reports:
@@ -155,17 +147,10 @@ def merge_reports(
             for t in thresholds:
                 bucket[t] += r.per_class_matched.get(c, {}).get(t, 0)
     classes = sorted(class_gt)
-    per_threshold = {t: matched[t] / total_gt for t in thresholds}
-    per_class = {
-        c: {t: class_matched[c][t] / class_gt[c] for t in thresholds} for c in classes
-    }
     return RecallReport(
-        per_threshold_recall=per_threshold,
-        mean_average_recall=sum(per_threshold[t] for t in thresholds) / len(thresholds),
-        per_class_recall=per_class,
-        num_gt=total_gt,
-        num_pred=total_pred,
-        num_matched=matched,
+        num_gt=sum(r.num_gt for r in reports),
+        num_pred=sum(r.num_pred for r in reports),
+        num_matched={t: sum(r.num_matched.get(t, 0) for r in reports) for t in thresholds},
         per_class_gt={c: class_gt[c] for c in classes},
         per_class_matched={c: class_matched[c] for c in classes},
     )

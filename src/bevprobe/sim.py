@@ -131,6 +131,8 @@ class DetectabilityModel:
             raise ValueError(f"stage_gain must be positive, got {self.stage_gain}")
         if not self.clutter_clearance > 0.0:
             raise ValueError("clutter_clearance must be positive")
+        if not math.isfinite(self.clutter_clearance * self.clutter_clearance):
+            raise ValueError(f"clutter_clearance {self.clutter_clearance:g} m has no finite square")
         if not self.detect_eta > 0.0:
             raise ValueError("detect_eta must be positive")
 

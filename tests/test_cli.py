@@ -197,6 +197,7 @@ class TestSimulateCommand:
             ("baseline", "small_classes", [2]),
             ("hip", "mask_type", "POINT"),
             ("grid", "cell_size", 1e298),
+            ("detectability", "clutter_clearance", 1e200),
         ],
     )
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
@@ -393,6 +394,18 @@ DELETE = object()
 FUZZ_POOL = [None, True, "x", math.nan, math.inf, -math.inf, -1, 0, 2.5, [], {}, DELETE]
 
 
+# Values for each `probe` flag, valid and not; a flag may also be left out.
+PROBE_FLAG_POOL = {
+    "--k": ["1", "3", "100", "0", "-1", "2.5", "x", ""],
+    "--k-per-stage": ["3,4", "1,100", "3", "3,4,5", "0,2", "-1,2", "a,b", ",", ""],
+    "--mask-type": ["point", "pooling", "box", "POINT", "x"],
+    "--small-classes": ["0", "1", "0,1", "2", "-1", "99", "x", ","],
+    "--pooling-kernel": ["1", "3", "5", "13", "2", "0", "-3", "x"],
+    "--box-length": ["2.0", "0.01", "1e300", "0", "-1", "nan", "inf", "x"],
+    "--box-width": ["1.0", "0.01", "1e300", "0", "-inf", "nan", "x"],
+}
+
+
 def json_slots(node, path=()):
     """Paths to every key and list entry of a JSON tree, at any depth."""
     for key, child in node.items() if isinstance(node, dict) else enumerate(node):
@@ -455,6 +468,23 @@ class TestBoundaryFuzz:
                 text = (out / "candidates.jsonl").read_text()
                 assert "NaN" not in text and "Infinity" not in text
         assert code in (0, 3), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(flags=st.fixed_dictionaries({}, optional={
+        flag: st.sampled_from(values) for flag, values in PROBE_FLAG_POOL.items()
+    }))
+    def test_random_probe_flags_exit_0_or_2(self, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, paths, _ = stage_files(Path(tmp), num_stages=2, size=6)
+            argv = ["probe", "--stage", paths[0], "--stage", paths[1],
+                    "--output-dir", str(Path(tmp) / "out")]
+            argv += [f"{flag}={value}" for flag, value in flags.items()]
+            try:
+                code, err = run_quietly(argv)
+            except SystemExit as exc:  # argparse rejects a bad value or choice
+                code, err = exc.code, ""
+        assert code in (0, 2), err
         assert "Traceback" not in err
 
     @settings(max_examples=100, deadline=None)
@@ -627,6 +657,12 @@ class TestAuditCommand:
             ("predictions", "cy", math.inf),
             ("ground_truth", "length", math.inf),
             ("ground_truth", "yaw", math.nan),
+            ("predictions", "cx", "0.3"),
+            ("ground_truth", "cy", True),
+            ("predictions", "score", "0.9"),
+            ("ground_truth", "class_id", 2.5),
+            ("ground_truth", "class_id", False),
+            ("predictions", "class_id", 10**30),
         ],
     )
     def test_non_finite_fields_rejected(self, tmp_path, capsys, role, field, value):
@@ -639,6 +675,17 @@ class TestAuditCommand:
         assert f"scenes[1].{role}[0] (b)" in err
         assert repr(field) in err
         assert "Traceback" not in err
+
+    def test_integer_coordinates_print_as_floats(self, tmp_path):
+        _, dump = detection_dump(tmp_path)
+        dump["scenes"][0]["ground_truth"][1].update(cx=10, cy=0)
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(dump))
+        out = tmp_path / "o"
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out)]) == 0
+        (fn,) = json.loads((out / "fn_inventory.json").read_text())[0]["false_negatives"]
+        assert (fn["cx"], fn["cy"]) == (10.0, 0.0)
+        assert type(fn["cx"]) is float and type(fn["cy"]) is float
 
     def test_missing_dump_file(self, tmp_path):
         assert main([

@@ -51,6 +51,50 @@ def ladder_fixture():
     return preds, gts
 
 
+def stored_recalls(reports, thresholds):
+    """Pooled recalls by the formulas the report once stored beside its
+    counts: an oracle for the derived properties, compared with ``==``."""
+    num_gt = sum(r.num_gt for r in reports)
+    if num_gt == 0:
+        return {t: 1.0 for t in thresholds}, 1.0, {}, True
+    matched = {t: sum(r.num_matched.get(t, 0) for r in reports) for t in thresholds}
+    class_gt, class_matched = {}, {}
+    for r in reports:
+        for c, n in r.per_class_gt.items():
+            class_gt[c] = class_gt.get(c, 0) + n
+            bucket = class_matched.setdefault(c, {t: 0 for t in thresholds})
+            for t in thresholds:
+                bucket[t] += r.per_class_matched.get(c, {}).get(t, 0)
+    per_threshold = {t: matched[t] / num_gt for t in thresholds}
+    per_class = {
+        c: {t: class_matched[c][t] / class_gt[c] for t in thresholds} for c in sorted(class_gt)
+    }
+    mar = sum(per_threshold[t] for t in thresholds) / len(thresholds)
+    return per_threshold, mar, per_class, False
+
+
+def derived(report):
+    return (
+        report.per_threshold_recall,
+        report.mean_average_recall,
+        report.per_class_recall,
+        report.empty_gt,
+    )
+
+
+def box_lists(num_classes, scored):
+    """0-12 boxes on a half-meter lattice, so thresholds split near ties."""
+    coord = st.integers(-8, 8).map(lambda v: v * 0.5)
+    return st.lists(
+        st.builds(
+            lambda cx, cy, c, score: BevBox(cx, cy, 4.0, 2.0, 0.0, c, score=score),
+            coord, coord, st.integers(0, num_classes - 1),
+            st.floats(0.0, 1.0) if scored else st.none(),
+        ),
+        max_size=12,
+    )
+
+
 class TestRecallConfig:
     def test_defaults(self):
         assert RecallConfig().thresholds == (0.5, 1.0, 2.0, 4.0)
@@ -163,6 +207,30 @@ class TestAverageRecall:
     def test_unscored_prediction_rejected(self):
         with pytest.raises(ValueError):
             average_recall([BevBox(0, 0, 4, 2, 0.0, 0)], [gt(0, 0)])
+
+    def test_empty_gt_skips_unscored_predictions(self):
+        cfg = RecallConfig()
+        report = average_recall([BevBox(0, 0, 4, 2, 0.0, 0)], [], cfg)
+        assert report == RecallReport(0, 1, {t: 0 for t in cfg.thresholds})
+        assert derived(report) == stored_recalls([report], cfg.thresholds)
+
+
+class TestDerivedRecalls:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), num_classes=st.integers(1, 3), class_agnostic=st.booleans())
+    def test_equal_stored_formulas(self, data, num_classes, class_agnostic):
+        cfg = RecallConfig(class_agnostic=class_agnostic)
+        scenes = data.draw(
+            st.lists(st.tuples(box_lists(num_classes, True), box_lists(num_classes, False)),
+                     max_size=4),
+            label="scenes",
+        )
+        reports = [average_recall(preds, gts, cfg) for preds, gts in scenes]
+        for report in reports:
+            assert derived(report) == stored_recalls([report], cfg.thresholds)
+        merged = merge_reports(reports, cfg)
+        assert derived(merged) == stored_recalls(reports, cfg.thresholds)
+        assert list(merged.per_threshold_recall) == list(cfg.thresholds)
 
 
 class TestClasswiseRecall:
