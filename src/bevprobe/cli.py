@@ -234,6 +234,12 @@ def cmd_probe(
     for path, hm in zip(stage_paths, heatmaps):
         if hm.spec != spec:
             raise DataError(f"{path}: grid spec differs from {stage_paths[0]}")
+    outside = sorted(c for c in small if not 0 <= c < spec.num_classes)
+    if outside:
+        raise ConfigError(
+            f"--small-classes: ids must lie in [0, {spec.num_classes}) of the loaded grid, "
+            f"got {outside}"
+        )
 
     box_provider = None
     if mtype is MaskType.BOX:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .hip import Candidate, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
 
 _PLACEMENT_ATTEMPTS = 10_000
+# Scene generation holds a boolean table and each render a float64 canvas
+# of the grid's full size, so a simulated grid has at most 2**24 cells.
+MAX_SCENE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,12 @@ class SceneParams:
                 raise ValueError(f"size_table[{c}] jitter must lie in [0, 1)")
         if not self.min_same_class_separation > 0.0:
             raise ValueError("min_same_class_separation must be positive")
+        cells = self.spec.num_classes * self.spec.size_y * self.spec.size_x
+        if cells > MAX_SCENE_CELLS:
+            raise ValueError(
+                f"grid.num_classes * grid.size_y * grid.size_x is {cells} cells, "
+                f"above the simulator's ceiling of {MAX_SCENE_CELLS}"
+            )
         # Object placement squares center offsets up to the grid's span.
         span_x = (self.spec.size_x - 1) * self.spec.cell_size
         span_y = (self.spec.size_y - 1) * self.spec.cell_size
@@ -155,6 +165,87 @@ class SyntheticScene:
         if len(self.amplitudes) != len(self.gts):
             raise ValueError("one amplitude per ground-truth box is required")
 
+    @cached_property
+    def clutter_columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The clutter peaks as a (class, y, x) index and their amplitudes.
+
+        Built once per scene for the oracle's scatter-max; not a field, so
+        equality and the JSON record ignore it.
+        """
+        cells = np.array([(p.class_id, p.y, p.x) for p in self.clutter], dtype=np.intp)
+        amplitudes = np.array([p.amplitude for p in self.clutter], dtype=np.float64)
+        return tuple(cells.reshape(-1, 3).T), amplitudes
+
+
+class _RawStream:
+    """``np.random.Generator`` draws walked from its PCG64 raw words.
+
+    Scene generation makes thousands of scalar draws per scene, and each
+    ``Generator`` method call costs microseconds. This walker pulls
+    ``random_raw`` words in blocks and reproduces, bit for bit, the draws
+    numpy makes from them:
+
+    - ``next_uint32`` hands out the low half of a fresh word and keeps the
+      high half for the next call (numpy's ``has_uint32``/``uinteger``);
+    - ``integers(n)`` is Lemire's bounded method (ACM TOMACS 2019) with its
+      rejection loop, on 32-bit draws for n <= 2**32 and 64-bit draws
+      above, and draws nothing for n == 1;
+    - ``random()`` is ``(word >> 11) * 2**-53``; it leaves the buffered
+      half alone;
+    - ``uniform(a, b)`` is ``a + (b - a) * random()``;
+    - ``choice(p)`` searches one ``random()`` in the normalised cdf of
+      ``p`` from the right, as ``Generator.choice(len(p), p=p)`` does.
+
+    A tier-1 test runs it against ``Generator`` over mixed call sequences,
+    so a change to these numpy internals fails loudly.
+    """
+
+    def __init__(self, bitgen: np.random.BitGenerator, block: int = 1024) -> None:
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"expected a PCG64 bit generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._high = state["uinteger"] if state["has_uint32"] else None
+        self.next_uint64 = self._words(bitgen, block).__next__
+
+    @staticmethod
+    def _words(bitgen: np.random.PCG64, block: int):
+        while True:
+            yield from bitgen.random_raw(block).tolist()
+
+    def next_uint32(self) -> int:
+        high = self._high
+        if high is None:
+            word = self.next_uint64()
+            self._high = word >> 32
+            return word & 0xFFFFFFFF
+        self._high = None
+        return high
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        wide = n > 1 << 32
+        draw = self.next_uint64 if wide else self.next_uint32
+        bits = 64 if wide else 32
+        m = draw() * n
+        if m & ((1 << bits) - 1) < n:
+            threshold = ((1 << bits) - n) % n
+            while m & ((1 << bits) - 1) < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def random(self) -> float:
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+    def uniform(self, a: float, b: float) -> float:
+        # float(b) makes the subtraction a double one, as numpy's, for int bounds too.
+        return a + (float(b) - a) * self.random()
+
+    def choice(self, p: np.ndarray) -> int:
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self.random(), side="right"))
+
 
 def _clutter_free_cells(
     spec: BevGridSpec,
@@ -185,7 +276,7 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
     separation or clearance constraints raises DataError rather than
     looping forever.
     """
-    rng = np.random.default_rng(params.rng_seed)
+    rng = _RawStream(np.random.default_rng(params.rng_seed).bit_generator)
     spec = params.spec
     margin = spec.cell_size
     x_lo = spec.origin_x + margin
@@ -196,7 +287,7 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
         raise DataError("grid is too small to place objects inside a one-cell margin")
 
     lo, hi = params.num_objects_range
-    count = int(rng.integers(lo, hi + 1))
+    count = lo + rng.integers(hi - lo + 1)
     mix = np.asarray(params.class_mix, dtype=np.float64)
     mix = mix / mix.sum()
     min_sep = params.min_same_class_separation
@@ -204,15 +295,15 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
     gts: list[BevBox] = []
     centers_by_class: dict[int, list[tuple[float, float]]] = {}
     for i in range(count):
-        class_id = int(rng.choice(spec.num_classes, p=mix))
+        class_id = rng.choice(mix)
         mean_l, mean_w, jitter = params.size_table[class_id]
         length = max(0.05, mean_l * (1.0 + rng.uniform(-jitter, jitter)))
         width = max(0.05, mean_w * (1.0 + rng.uniform(-jitter, jitter)))
-        yaw = float(rng.uniform(-np.pi, np.pi))
+        yaw = rng.uniform(-np.pi, np.pi)
         taken = centers_by_class.setdefault(class_id, [])
         for _attempt in range(_PLACEMENT_ATTEMPTS):
-            cx = float(rng.uniform(x_lo, x_hi))
-            cy = float(rng.uniform(y_lo, y_hi))
+            cx = rng.uniform(x_lo, x_hi)
+            cy = rng.uniform(y_lo, y_hi)
             if all((cx - px) ** 2 + (cy - py) ** 2 >= min_sep * min_sep for px, py in taken):
                 break
         else:
@@ -228,23 +319,23 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
         if rng.random() < model.easy_fraction:
             amplitudes.append(model.easy_amplitude)
         else:
-            amplitudes.append(float(rng.uniform(*model.hard_amplitude_range)))
+            amplitudes.append(rng.uniform(*model.hard_amplitude_range))
 
-    free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2)
+    free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2).tolist()
     clutter: list[ClutterPeak] = []
     for i in range(model.clutter_peaks):
         for _attempt in range(_PLACEMENT_ATTEMPTS):
-            x = int(rng.integers(spec.size_x))
-            y = int(rng.integers(spec.size_y))
-            class_id = int(rng.integers(spec.num_classes))
-            if free[class_id, y, x]:
+            x = rng.integers(spec.size_x)
+            y = rng.integers(spec.size_y)
+            class_id = rng.integers(spec.num_classes)
+            if free[class_id][y][x]:
                 break
         else:
             raise DataError(
                 f"could not place clutter peak {i} after {_PLACEMENT_ATTEMPTS} "
                 "attempts; lower clutter_clearance or the object density"
             )
-        amplitude = float(rng.uniform(*model.clutter_amplitude_range))
+        amplitude = rng.uniform(*model.clutter_amplitude_range)
         clutter.append(ClutterPeak(x, y, class_id, amplitude))
 
     return SyntheticScene(tuple(gts), tuple(amplitudes), tuple(clutter))
@@ -275,9 +366,8 @@ def oracle_stage_heatmap(
         gx, gy = spec.world_to_grid((gt.cx, gt.cy))
         radius = radius_for_box(gt, spec, render_cfg)
         draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
-    for peak in scene.clutter:
-        if peak.amplitude > canvas[peak.class_id, peak.y, peak.x]:
-            canvas[peak.class_id, peak.y, peak.x] = peak.amplitude
+    index, amplitudes = scene.clutter_columns
+    np.maximum.at(canvas, index, amplitudes)
     return Heatmap(spec, canvas)
 
 

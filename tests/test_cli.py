@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,21 @@ class TestSimulateCommand:
         assert (f"{section}.{key}" if section else key) in err
         assert "Traceback" not in err
 
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg["grid"]["size_x"] = cfg["grid"]["size_y"] = 1_000_000
+        cfg_path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert "grid.num_classes * grid.size_y * grid.size_x" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("arm", ["hip", "baseline"])
     def test_box_mask_rejected_at_parse_time(self, tmp_path, capsys, arm):
         cfg = tiny_config()
@@ -314,6 +330,19 @@ class TestProbeCommand:
             "probe", "--stage", paths[0], "--output-dir", out, "--k", "3",
             "--mask-type", "pooling", "--pooling-kernel", "4",
         ]) == 2
+
+    @pytest.mark.parametrize("ids,outside", [("99", "[99]"), ("-1", "[-1]"), ("1,2,-3", "[-3, 2]")])
+    def test_small_classes_outside_grid_exit_2(self, tmp_path, capsys, ids, outside):
+        _, paths, _ = stage_files(tmp_path, num_classes=2)
+        out = tmp_path / "out"
+        code = main([
+            "probe", "--stage", paths[0], "--output-dir", str(out), "--k", "3",
+            "--mask-type", "pooling", f"--small-classes={ids}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--small-classes" in err and outside in err and "[0, 2)" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--box-length", "-1"),

@@ -1,14 +1,21 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bevprobe.bev_grid import BevGridSpec, GaussianRenderConfig
+from bevprobe.bev_grid import (
+    BevGridSpec,
+    GaussianRenderConfig,
+    Heatmap,
+    draw_gaussian_peak,
+    radius_for_box,
+)
 from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox, center_distance
 from bevprobe.hip import HipConfig, MaskType
@@ -16,12 +23,14 @@ from bevprobe.metrics import RecallConfig
 from bevprobe.sim import (
     ARM_BASELINE,
     ARM_PROBE,
+    MAX_SCENE_CELLS,
     ClutterPeak,
     DetectabilityModel,
     ExperimentSetup,
     SceneParams,
     SyntheticScene,
     _clutter_free_cells,
+    _RawStream,
     experiment_from_config,
     generate_scene,
     oracle_stage_heatmap,
@@ -387,6 +396,80 @@ class TestClutterTable:
         assert outcome(generate_scene_oracle, params, model) == expected
 
 
+# One draw per entry: ("integers", n), ("random",), ("uniform", a, b) or
+# ("choice", p). Bounds mix floats with ints past 2**53, whose difference
+# numpy takes in doubles.
+_bounds = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False), st.integers(-(2**60), 2**60)
+)
+stream_draws = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("integers"),
+            st.one_of(
+                st.sampled_from([1, 2, 3, 112, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]),
+                st.integers(1, 2**63 - 1),
+            ),
+        ),
+        st.tuples(st.just("random")),
+        st.tuples(st.just("uniform"), _bounds, _bounds).map(
+            lambda t: (t[0], *sorted(t[1:]))
+        ),
+        st.tuples(
+            st.just("choice"),
+            st.lists(st.integers(0, 4), min_size=1, max_size=5)
+            .filter(any)
+            .map(lambda w: np.asarray(w, dtype=np.float64) / sum(w)),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def make_draw(source, name, *args):
+    if name == "choice" and isinstance(source, np.random.Generator):
+        value = source.choice(len(args[0]), p=args[0])
+    else:
+        value = getattr(source, name)(*args)
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestRawStream:
+    """The walker must make exactly the draws of ``Generator``: this is the
+    tier-1 guard against a numpy change to PCG64 or its bounded integers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        buffered=st.booleans(),
+        block=st.integers(1, 5),
+        draws=stream_draws,
+    )
+    # n == 1 draws nothing; 2**32 is a bare next_uint32; 2**31 + 1 rejects
+    # about half its draws; a block of 1 refills on every word.
+    @example(seed=0, buffered=False, block=1, draws=[("integers", 1), ("random",)] * 3)
+    @example(seed=1, buffered=True, block=2, draws=[("integers", 2**32)] * 5 + [("random",)])
+    @example(seed=2, buffered=True, block=3, draws=[("integers", 2**31 + 1)] * 40)
+    # 2**53 + 3 rounds up to a double, so exact int subtraction would differ.
+    @example(seed=3, buffered=True, block=1, draws=[("uniform", 1, 2**53 + 3)] * 3)
+    def test_matches_generator(self, seed, buffered, block, draws):
+        reference = np.random.default_rng(seed)
+        source = np.random.default_rng(seed)
+        if buffered:
+            # An odd number of 32-bit draws leaves the high half buffered.
+            reference.integers(7)
+            source.integers(7)
+        assert source.bit_generator.state["has_uint32"] == buffered
+        walker = _RawStream(source.bit_generator, block)
+        for name, *args in draws:
+            assert make_draw(walker, name, *args) == make_draw(reference, name, *args), name
+        assert walker.random() == reference.random()
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            _RawStream(np.random.MT19937(0))
+
+
 def two_object_scene():
     gts = (
         BevBox(0.0, 0.0, 4.0, 2.0, 0.0, 0),
@@ -461,6 +544,61 @@ class TestOracleHeatmap:
 def _center_cell(spec, wx, wy):
     gx, gy = spec.world_to_grid((wx, wy))
     return round(gx), round(gy)
+
+
+def oracle_heatmap_loop(scene, stage, detected, model, spec):
+    """oracle_stage_heatmap with clutter max-combined one peak at a time,
+    as written before the scatter-max."""
+    canvas = np.zeros(spec.shape, dtype=np.float64)
+    for i, gt in enumerate(scene.gts):
+        amp = scene.amplitudes[i]
+        if i not in detected:
+            amp = min(1.0, amp * model.stage_gain ** stage)
+        gx, gy = spec.world_to_grid((gt.cx, gt.cy))
+        radius = radius_for_box(gt, spec, GaussianRenderConfig())
+        draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
+    for peak in scene.clutter:
+        if peak.amplitude > canvas[peak.class_id, peak.y, peak.x]:
+            canvas[peak.class_id, peak.y, peak.x] = peak.amplitude
+    return Heatmap(spec, canvas)
+
+
+def _clutter_cases():
+    spec = make_spec()
+    cx, cy = _center_cell(spec, 0.0, 0.0)
+    return {
+        "none": (),
+        "same_cell": (ClutterPeak(2, 3, 1, 0.4), ClutterPeak(2, 3, 1, 0.7),
+                      ClutterPeak(2, 3, 1, 0.5)),
+        "under_gaussian_peak": (ClutterPeak(cx, cy, 0, 0.2),),
+        "over_gaussian_tail": (ClutterPeak(cx + 1, cy, 0, 0.95), ClutterPeak(cx, cy + 1, 0, 0.3)),
+    }
+
+
+class TestClutterScatterMax:
+    @pytest.mark.parametrize("stage", [0, 2])
+    @pytest.mark.parametrize("case", sorted(_clutter_cases()))
+    def test_equals_per_peak_loop(self, case, stage):
+        spec, model = make_spec(), make_model(stage_gain=1.5)
+        scene = replace(two_object_scene(), clutter=_clutter_cases()[case])
+        got = oracle_stage_heatmap(scene, stage, {1}, model, spec).values
+        expected = oracle_heatmap_loop(scene, stage, {1}, model, spec).values
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_scenes_equal_per_peak_loop(self, seed):
+        spec, model = make_spec(), make_model()
+        scene = generate_scene(make_params(seed=seed, spec=spec), model)
+        for stage in range(3):
+            got = oracle_stage_heatmap(scene, stage, {0}, model, spec).values
+            expected = oracle_heatmap_loop(scene, stage, {0}, model, spec).values
+            assert got.tobytes() == expected.tobytes()
+
+    def test_columns_are_not_a_field(self):
+        scene = generate_scene(make_params(seed=9), make_model())
+        index, amplitudes = scene.clutter_columns
+        assert len(amplitudes) == len(index[0]) == len(scene.clutter)
+        assert scene == replace(scene) and "clutter_columns" not in scene_to_dict(scene)
 
 
 class TestSceneSerialization:
@@ -645,6 +783,14 @@ class TestExperimentFromConfig:
         setup = experiment_from_config(cfg)
         assert setup.recall_cfg.thresholds == (1.0, 2.0)
         assert setup.render_cfg.min_overlap == 0.2
+
+    def test_grid_at_cell_ceiling_parses(self):
+        cfg = minimal_config()
+        cfg["grid"].update(size_x=MAX_SCENE_CELLS // 2 // 256, size_y=256)
+        assert experiment_from_config(cfg).params.spec.size_x == 32768
+        cfg["grid"]["size_x"] += 1
+        with pytest.raises(ConfigError, match="ceiling"):
+            experiment_from_config(cfg)
 
     def test_readme_schema_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
