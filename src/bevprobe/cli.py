@@ -38,7 +38,9 @@ from .metrics import (
     write_recall_csv,
     write_recall_json,
 )
-from .sim import ARM_BASELINE, ARM_PROBE, experiment_from_config, run_experiment, scene_to_dict
+from .sim import (
+    ARM_BASELINE, ARM_PROBE, experiment_from_config, run_experiment, scene_for_seed, scene_to_dict,
+)
 from .svg import grouped_bar_chart, line_chart
 
 
@@ -94,10 +96,27 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
-def _recall_curve_points(pooled: dict) -> list[tuple[float, float]]:
+def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float]]:
+    """Sorted (threshold, recall) points of a pooled report read from JSON;
+    a key that is not a finite number or a recall that is not one raises
+    DataError naming it under ``where``."""
     per_thr = pooled["per_threshold_recall"]
-    pts = sorted((float(t), float(r)) for t, r in per_thr.items())
-    return pts
+    if not isinstance(per_thr, dict):
+        raise DataError(f"{where}.per_threshold_recall: expected an object, got {per_thr!r}")
+    pts = []
+    for key, recall in per_thr.items():
+        try:
+            t = float(key)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise DataError(f"{where}.per_threshold_recall: key {key!r} is not a finite number")
+        if type(recall) not in (int, float) or not abs(recall) <= _FLOAT_MAX:
+            raise DataError(
+                f"{where}.per_threshold_recall.{key}: expected a finite number, got {recall!r}"
+            )
+        pts.append((t, float(recall)))
+    return sorted(pts)
 
 
 def _write_recall_curve(out: Path, series: dict[str, list[tuple[float, float]]]) -> None:
@@ -163,19 +182,15 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
 
     # Sorted arm order keeps the chart byte-identical with `report`.
     series = {
-        arm: _recall_curve_points(summary["arms"][arm]["pooled"])
+        arm: _recall_curve_points(summary["arms"][arm]["pooled"], f"arms.{arm}.pooled")
         for arm in sorted((ARM_PROBE, ARM_BASELINE))
     }
     _write_recall_curve(out, series)
     if save_scenes:
         scene_lines = []
-        from dataclasses import replace as _replace
-
-        from .sim import generate_scene, scene_seeds
-
-        for i, seed in enumerate(scene_seeds(setup.params.rng_seed, setup.num_scenes)):
-            scene = generate_scene(_replace(setup.params, rng_seed=seed), setup.model)
-            record = {"scene_id": f"scene_{i:04d}", "seed": seed, **scene_to_dict(scene)}
+        for outcome in result.scenes:
+            scene = scene_for_seed(setup, outcome.seed)
+            record = {"scene_id": outcome.scene_id, "seed": outcome.seed, **scene_to_dict(scene)}
             scene_lines.append(encode_compact_json(record))
         _write_text(out / "scenes.jsonl", "".join(l + "\n" for l in scene_lines))
     return 0
@@ -337,7 +352,7 @@ def cmd_audit(dump_path: str, output_dir: str, thresholds: str, class_agnostic: 
             class_agnostic=class_agnostic,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--thresholds: {exc}") from exc
     scenes = load_detection_dump(Path(dump_path))
     if not scenes:
         raise DataError(f"{dump_path}: dump contains no scenes")
@@ -392,6 +407,8 @@ def cmd_audit(dump_path: str, output_dir: str, thresholds: str, class_agnostic: 
 
 def cmd_report(summary_path: str, output_dir: str) -> int:
     summary = _read_json(Path(summary_path), "experiment summary")
+    if not isinstance(summary, dict):
+        raise DataError(f"{summary_path}: expected an object, got {type(summary).__name__}")
     arms = summary.get("arms")
     if not isinstance(arms, dict) or not arms:
         raise DataError(f"{summary_path}: missing 'arms' section")
@@ -403,18 +420,29 @@ def cmd_report(summary_path: str, output_dir: str) -> int:
         pooled = arms[arm].get("pooled") if isinstance(arms[arm], dict) else None
         if not isinstance(pooled, dict) or "per_threshold_recall" not in pooled:
             raise DataError(f"{summary_path}: arms.{arm} lacks pooled recall data")
-        pts = _recall_curve_points(pooled)
+        where = f"{summary_path}: arms.{arm}.pooled"
+        pts = _recall_curve_points(pooled, where)
         series[arm] = pts
+        num_gt = pooled.get("num_gt", 0)
+        if type(num_gt) is not int:
+            raise DataError(f"{where}.num_gt: expected an integer, got {num_gt!r}")
         matched = pooled.get("num_matched", {})
+        if not isinstance(matched, dict):
+            raise DataError(f"{where}.num_matched: expected an object, got {matched!r}")
         for t, r in pts:
+            num_matched = matched.get(repr(t), 0)
+            if type(num_matched) is not int:
+                raise DataError(
+                    f"{where}.num_matched.{t!r}: expected an integer, got {num_matched!r}"
+                )
             rows.append(
                 {
                     "scope": arm,
                     "class": "*",
                     "threshold": repr(t),
                     "recall": repr(r),
-                    "num_gt": pooled.get("num_gt", 0),
-                    "num_matched": matched.get(repr(t), 0),
+                    "num_gt": num_gt,
+                    "num_matched": num_matched,
                 }
             )
     _write_recall_curve(out, series)

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -247,34 +248,35 @@ def build_positive_mask(
     marks every cell whose sample point falls inside the candidate's
     predicted box (one box per candidate, required).
     """
+    n = len(candidates)
+    cls, ys, xs = index = tuple(
+        np.fromiter(map(attrgetter(f), candidates), np.intp, n) for f in ("class_id", "y", "x")
+    )
+    try:
+        cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
+    except ValueError:
+        bad = next(cd for cd in candidates if not (
+            0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)))
+        raise ValueError(f"candidate {bad} lies outside the grid") from None
     bits = np.zeros(spec.shape, dtype=np.uint8)
-    for cd in candidates:
-        if not (0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)):
-            raise ValueError(f"candidate {cd} lies outside the grid")
-    if cfg.mask_type is MaskType.POINT:
-        for cd in candidates:
-            bits[cd.class_id, cd.y, cd.x] = 1
-    elif cfg.mask_type is MaskType.POOLING:
-        half = cfg.pooling_kernel // 2
-        for cd in candidates:
-            if cd.class_id in cfg.small_classes:
-                bits[cd.class_id, cd.y, cd.x] = 1
-            else:
-                y0, y1 = max(0, cd.y - half), min(spec.size_y, cd.y + half + 1)
-                x0, x1 = max(0, cd.x - half), min(spec.size_x, cd.x + half + 1)
-                bits[cd.class_id, y0:y1, x0:x1] = 1
+    bits.reshape(-1)[cells] = 1
+    if cfg.mask_type is MaskType.POOLING:
+        wide = np.ones(n, dtype=bool)
+        for c in cfg.small_classes:
+            wide &= cls != c
+        cls, ys, xs = cls[wide], ys[wide], xs[wide]
+        # Offsets clipped onto the grid land on cells inside the clipped
+        # window; rows and columns broadcast to every k x k cell at once.
+        offsets = np.arange(cfg.pooling_kernel)[:, None] - cfg.pooling_kernel // 2
+        rows = np.clip(ys + offsets, 0, spec.size_y - 1)
+        cols = np.clip(xs + offsets, 0, spec.size_x - 1)
+        bits[cls, rows[:, None], cols[None, :]] = 1
     elif cfg.mask_type is MaskType.BOX:
         if boxes is None:
             raise ValueError("box masking requires a predicted box per candidate")
-        if len(boxes) != len(candidates):
-            raise ValueError(
-                f"{len(candidates)} candidates but {len(boxes)} predicted boxes"
-            )
-        classes = np.array([cd.class_id for cd in candidates], dtype=np.int64)
-        bits[classes, [cd.y for cd in candidates], [cd.x for cd in candidates]] = 1
-        _rasterize_boxes(bits, classes, boxes, spec)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown mask type {cfg.mask_type!r}")
+        if len(boxes) != n:
+            raise ValueError(f"{n} candidates but {len(boxes)} predicted boxes")
+        _rasterize_boxes(bits, cls, boxes, spec)
     return PositiveMask(spec, bits)
 
 

@@ -35,8 +35,8 @@ class RecallConfig:
         )
         if not self.thresholds:
             raise ValueError("at least one distance threshold is required")
-        if any(not t > 0.0 for t in self.thresholds):
-            raise ValueError("distance thresholds must be positive")
+        if any(not 0.0 < t < math.inf for t in self.thresholds):
+            raise ValueError("distance thresholds must be finite and positive")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("distance thresholds must be strictly increasing")
 

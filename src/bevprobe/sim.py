@@ -16,6 +16,7 @@ runs may be parallelized across processes without changing any result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -354,20 +355,31 @@ def oracle_stage_heatmap(
     Objects not yet detected have their peak scaled by
     ``stage_gain ** stage`` (capped at 1.0); detected objects keep their
     base amplitude. Clutter peaks are stage-independent single cells,
-    max-combined with the Gaussians.
+    max-combined with the Gaussians. A ground-truth class, or a clutter
+    class or cell, outside the grid raises ValueError naming the object.
     """
     if stage < 0:
         raise ValueError(f"stage must be non-negative, got {stage}")
+    index, amplitudes = scene.clutter_columns
+    try:
+        cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
+    except ValueError:
+        i, peak = next((i, p) for i, p in enumerate(scene.clutter) if not (
+            0 <= p.class_id < spec.num_classes and spec.contains_cell(p.x, p.y)))
+        raise ValueError(f"clutter peak {i} {peak} lies outside grid {spec.shape}") from None
     canvas = np.zeros(spec.shape, dtype=np.float64)
     for i, gt in enumerate(scene.gts):
+        if not 0 <= gt.class_id < spec.num_classes:
+            raise ValueError(
+                f"ground truth {i} has class_id {gt.class_id} outside [0, {spec.num_classes})"
+            )
         amp = scene.amplitudes[i]
         if i not in detected_so_far:
             amp = min(1.0, amp * model.stage_gain ** stage)
         gx, gy = spec.world_to_grid((gt.cx, gt.cy))
         radius = radius_for_box(gt, spec, render_cfg)
         draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
-    index, amplitudes = scene.clutter_columns
-    np.maximum.at(canvas, index, amplitudes)
+    np.maximum.at(canvas.reshape(-1), cells, amplitudes)
     return Heatmap(spec, canvas)
 
 
@@ -435,6 +447,8 @@ class ExperimentResult:
 
 ARM_PROBE = "hip"
 ARM_BASELINE = "baseline"
+# Scenes a pool worker takes per task.
+_SCENES_PER_CHUNK = 8
 
 
 def _run_arm(
@@ -444,16 +458,8 @@ def _run_arm(
     model = setup.model
     spec = setup.params.spec
     detect_cfg = MatchConfig(MatchMetric.CENTER_DISTANCE, model.detect_eta)
-    static: list[Heatmap] = []
 
     def source(stage: int, collected: tuple[Candidate, ...]) -> Heatmap:
-        # With gain 1 the oracle output never changes, so render once.
-        if model.stage_gain == 1.0:
-            if not static:
-                static.append(
-                    oracle_stage_heatmap(scene, 0, frozenset(), model, spec, setup.render_cfg)
-                )
-            return static[0]
         if stage == 0:
             detected: frozenset[int] = frozenset()
         else:
@@ -464,8 +470,13 @@ def _run_arm(
     return result.candidates, result.degenerate
 
 
+def scene_for_seed(setup: ExperimentSetup, seed: int) -> SyntheticScene:
+    """The scene an experiment draws from one of its per-scene seeds."""
+    return generate_scene(replace(setup.params, rng_seed=seed), setup.model)
+
+
 def _run_scene(setup: ExperimentSetup, index: int, seed: int) -> SceneOutcome:
-    scene = generate_scene(replace(setup.params, rng_seed=seed), setup.model)
+    scene = scene_for_seed(setup, seed)
     reports: dict[str, RecallReport] = {}
     candidates: dict[str, tuple[Candidate, ...]] = {}
     degenerate: dict[str, bool] = {}
@@ -485,11 +496,6 @@ def _run_scene(setup: ExperimentSetup, index: int, seed: int) -> SceneOutcome:
     )
 
 
-def _scene_task(payload: tuple[ExperimentSetup, int, int]) -> SceneOutcome:
-    setup, index, seed = payload
-    return _run_scene(setup, index, seed)
-
-
 def scene_seeds(rng_seed: int, num_scenes: int) -> list[int]:
     """Per-scene seeds derived from the experiment seed."""
     return [int(s) for s in np.random.SeedSequence(rng_seed).generate_state(num_scenes)]
@@ -501,7 +507,8 @@ def run_experiment(setup: ExperimentSetup, jobs: int = 1) -> ExperimentResult:
     Both arms must spend the same total candidate budget; anything else is
     an apples-to-oranges comparison and is rejected. Results are identical
     for any ``jobs`` value because scenes are independent and merged in
-    scene order.
+    scene order. At most one worker per chunk of 8 scenes is started, and
+    a single worker runs in process.
     """
     if setup.hip_cfg.total_k != setup.baseline_cfg.total_k:
         raise ConfigError(
@@ -510,15 +517,18 @@ def run_experiment(setup: ExperimentSetup, jobs: int = 1) -> ExperimentResult:
         )
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    seeds = scene_seeds(setup.params.rng_seed, setup.num_scenes)
-    payloads = [(setup, i, seed) for i, seed in enumerate(seeds)]
-    if jobs == 1:
-        outcomes = [_scene_task(p) for p in payloads]
+    n = setup.num_scenes
+    args = (itertools.repeat(setup), range(n), scene_seeds(setup.params.rng_seed, n))
+    # A pool starts all its workers at once, but map hands out only
+    # ceil(n / chunk) chunks, so workers past that count would sit idle.
+    workers = min(jobs, -(-n // _SCENES_PER_CHUNK))
+    if workers == 1:
+        outcomes = list(map(_run_scene, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_scene_task, payloads, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_scene, *args, chunksize=_SCENES_PER_CHUNK))
 
     arms = {}
     for arm in (ARM_PROBE, ARM_BASELINE):

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -122,13 +123,15 @@ class TestSimulateCommand:
         assert digest_dir(a) == digest_dir(b)
 
     def test_jobs_flag_does_not_change_bytes(self, tmp_path):
-        cfg_path = write_config(tmp_path, tiny_config())
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(a)]) == 0
-        assert main([
-            "simulate", "--config", str(cfg_path), "--output-dir", str(b), "--jobs", "2",
-        ]) == 0
-        assert digest_dir(a) == digest_dir(b)
+        # Nine scenes make two chunks of eight, so --jobs 2 runs a real pool.
+        cfg_path = write_config(tmp_path, {**tiny_config(), "num_scenes": 9})
+        for extra in ([], ["--save-scenes"]):
+            a, b = tmp_path / f"a{len(extra)}", tmp_path / f"b{len(extra)}"
+            argv = ["simulate", "--config", str(cfg_path), *extra, "--output-dir"]
+            assert main([*argv, str(a)]) == 0
+            assert main([*argv, str(b), "--jobs", "2"]) == 0
+            assert ("scenes.jsonl" in digest_dir(a)) == bool(extra)
+            assert digest_dir(a) == digest_dir(b)
 
     def test_save_scenes(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -529,6 +532,36 @@ class TestBoundaryFuzz:
         assert code in (0, 3), err
         assert "Traceback" not in err
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=st.sampled_from(FUZZ_POOL))
+    def test_mutated_summary_exits_0_or_3(self, data, value):
+        summary = simulated_summary()
+        # Bias the draw toward the arms section, which is what report reads.
+        root = data.draw(st.sampled_from([(), ("arms",)]), label="root")
+        node = summary["arms"] if root else summary
+        slot = root + data.draw(st.sampled_from(list(json_slots(node))), label="slot")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "summary.json"
+            path.write_text(json.dumps(mutated(summary, slot, value)))
+            code, err = run_quietly(
+                ["report", "--summary", str(path), "--output-dir", str(Path(tmp) / "o")]
+            )
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+
+
+@functools.cache
+def _simulated_summary_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(Path(tmp), tiny_config())
+        assert main(["simulate", "--config", str(cfg_path), "--output-dir", tmp]) == 0
+        return (Path(tmp) / "summary.json").read_text()
+
+
+def simulated_summary():
+    """A fresh copy of the tiny config's real simulate summary."""
+    return json.loads(_simulated_summary_text())
+
 
 def detection_dump(tmp_path):
     dump = {
@@ -638,13 +671,15 @@ class TestAuditCommand:
         assert strict["mean_average_recall"] == 0.0
         assert loose["mean_average_recall"] == 1.0
 
-    def test_bad_threshold_flags(self, tmp_path):
+    def test_bad_threshold_flags(self, tmp_path, capsys):
         path, _ = detection_dump(tmp_path)
         out = str(tmp_path / "out")
-        assert main(["audit", "--dump", str(path), "--output-dir", out,
-                     "--thresholds", "abc"]) == 2
-        assert main(["audit", "--dump", str(path), "--output-dir", out,
-                     "--thresholds", "2,1"]) == 2
+        # 1e400 parses to infinity, which no threshold may be.
+        for flag in ("abc", "2,1", "inf", "1,inf", "1e400"):
+            assert main(["audit", "--dump", str(path), "--output-dir", out,
+                         "--thresholds", flag]) == 2, flag
+            err = capsys.readouterr().err
+            assert "--thresholds" in err and "Traceback" not in err
 
     def test_malformed_dumps(self, tmp_path):
         out = str(tmp_path / "out")
@@ -740,6 +775,34 @@ class TestReportCommand:
         assert csv_lines[0] == "scope,class,threshold,recall,num_gt,num_matched"
         scopes = {line.split(",")[0] for line in csv_lines[1:]}
         assert scopes == {"hip", "baseline"}
+
+    @pytest.mark.parametrize(
+        "slot, value, named",
+        [
+            ((), [1, 2], "expected an object"),
+            (("per_threshold_recall",), [0.5], "arms.hip.pooled.per_threshold_recall"),
+            (("per_threshold_recall", "x"), 0.5, "arms.hip.pooled.per_threshold_recall: key 'x'"),
+            (("per_threshold_recall", "inf"), 0.5, "arms.hip.pooled.per_threshold_recall: key"),
+            (("per_threshold_recall", "1.0"), "a", "arms.hip.pooled.per_threshold_recall.1.0"),
+            (("per_threshold_recall", "2.0"), math.nan, "arms.hip.pooled.per_threshold_recall.2.0"),
+            (("per_threshold_recall", "4.0"), 10**400, "arms.hip.pooled.per_threshold_recall.4.0"),
+            (("num_matched",), [8], "arms.hip.pooled.num_matched"),
+            (("num_matched", "4.0"), 2.5, "arms.hip.pooled.num_matched.4.0"),
+            (("num_gt",), "11", "arms.hip.pooled.num_gt"),
+            (("num_gt",), True, "arms.hip.pooled.num_gt"),
+        ],
+    )
+    def test_malformed_summary_exits_3(self, tmp_path, capsys, slot, value, named):
+        summary = simulated_summary()
+        if slot:
+            summary = mutated(summary, ("arms", "hip", "pooled") + slot, value)
+        else:
+            summary = value
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"

@@ -1,16 +1,19 @@
-"""Property tests for the vectorized top-k and box-mask layers of ``hip``.
+"""Property tests for the vectorized top-k and mask layers of ``hip``.
 
 Each test compares the array implementation with a plain oracle: a full
-sort of the open cells for ``topk_select``, and the per-box window
-rasterizer that ``build_positive_mask`` used before it rasterized all of a
-stage's boxes at once.
+sort of the open cells for ``topk_select``, the per-box window rasterizer
+that ``build_positive_mask`` used before it rasterized all of a stage's
+boxes at once, and the per-candidate loops it used before it marked every
+mask type from index columns.
 """
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +71,29 @@ def box_mask_oracle(candidates, boxes, spec):
     for cd, box in zip(candidates, boxes):
         bits[cd.class_id, cd.y, cd.x] = 1
         rasterize_box_oracle(bits[cd.class_id], box, spec)
+    return bits
+
+
+def mask_loop_oracle(candidates, cfg, spec, boxes=None):
+    """Per-candidate loops: a bounds pass, then one marking pass per mode."""
+    bits = np.zeros(spec.shape, dtype=np.uint8)
+    for cd in candidates:
+        if not (0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)):
+            raise ValueError(f"candidate {cd} lies outside the grid")
+    if cfg.mask_type is MaskType.POINT:
+        for cd in candidates:
+            bits[cd.class_id, cd.y, cd.x] = 1
+    elif cfg.mask_type is MaskType.POOLING:
+        half = cfg.pooling_kernel // 2
+        for cd in candidates:
+            if cd.class_id in cfg.small_classes:
+                bits[cd.class_id, cd.y, cd.x] = 1
+            else:
+                y0, y1 = max(0, cd.y - half), min(spec.size_y, cd.y + half + 1)
+                x0, x1 = max(0, cd.x - half), min(spec.size_x, cd.x + half + 1)
+                bits[cd.class_id, y0:y1, x0:x1] = 1
+    else:
+        bits = box_mask_oracle(candidates, boxes, spec)
     return bits
 
 
@@ -211,3 +237,71 @@ class TestBoxMaskProperties:
         # grid-sized temporaries.
         assert peak < 200e6
         assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
+
+
+@st.composite
+def grid_indices(draw, size):
+    """A cell index along one axis, biased onto both edges."""
+    return draw(st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1)))
+
+
+class TestMaskProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_candidate_loops(self, data):
+        spec = data.draw(grid_specs())
+        mode = data.draw(st.sampled_from(list(MaskType)))
+        cfg = HipConfig(
+            num_stages=1,
+            k_per_stage=(1,),
+            mask_type=mode,
+            small_classes=data.draw(st.frozensets(st.integers(0, spec.num_classes - 1))),
+            pooling_kernel=data.draw(st.sampled_from([1, 3, 5, 7])),
+        )
+        n = data.draw(st.integers(0, 12))
+        candidates, boxes = [], []
+        for _ in range(n):
+            x = data.draw(grid_indices(spec.size_x))
+            y = data.draw(grid_indices(spec.size_y))
+            cls = data.draw(st.integers(0, spec.num_classes - 1))
+            wx, wy = spec.grid_to_world((x, y))
+            candidates.append(Candidate(x, y, cls, 0.5, 0, wx, wy))
+            boxes.append(BevBox(wx, wy, 2.5 * spec.cell_size, spec.cell_size, data.draw(yaws), cls))
+        box_arg = boxes if mode is MaskType.BOX else None
+
+        mask = build_positive_mask(candidates, cfg, spec, boxes=box_arg)
+
+        assert mask.bits.tobytes() == mask_loop_oracle(candidates, cfg, spec, box_arg).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_out_of_grid_candidate_named_as_by_loops(self, data):
+        spec = data.draw(grid_specs())
+        mode = data.draw(st.sampled_from([MaskType.POINT, MaskType.POOLING]))
+        cfg = HipConfig(num_stages=1, k_per_stage=(1,), mask_type=mode)
+        n = data.draw(st.integers(1, 8))
+        # Each coordinate may step one past, or far past, either end.
+        coords = {
+            "x": st.integers(-3, spec.size_x + 2),
+            "y": st.integers(-3, spec.size_y + 2),
+            "class_id": st.integers(-2, spec.num_classes + 1),
+        }
+        candidates = [
+            Candidate(
+                data.draw(coords["x"]), data.draw(coords["y"]), data.draw(coords["class_id"]),
+                0.5, 0, 0.0, 0.0,
+            )
+            for _ in range(n)
+        ]
+        try:
+            mask_loop_oracle(candidates, cfg, spec)
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+
+        if expected is None:
+            build_positive_mask(candidates, cfg, spec)
+        else:
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                build_positive_mask(candidates, cfg, spec)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -540,6 +541,30 @@ class TestOracleHeatmap:
                 two_object_scene(), -1, frozenset(), make_model(), make_spec()
             )
 
+    @pytest.mark.parametrize(
+        "path, value, name",
+        [
+            (("gts", 0, "class_id"), -1, "ground truth 0 has class_id -1"),
+            (("gts", 1, "class_id"), 2, "ground truth 1 has class_id 2"),
+            (("clutter", 0, "class_id"), -1, "clutter peak 0 ClutterPeak(x=2, y=3, class_id=-1"),
+            (("clutter", 1, "x"), -1, "clutter peak 1 ClutterPeak(x=-1, y=5"),
+            (("clutter", 1, "y"), 28, "clutter peak 1 ClutterPeak(x=4, y=28"),
+        ],
+    )
+    def test_index_outside_grid_rejected(self, path, value, name):
+        # The record reader takes any integer; the oracle must not wrap it.
+        scene = replace(
+            two_object_scene(), clutter=(ClutterPeak(2, 3, 0, 0.5), ClutterPeak(4, 5, 1, 0.6))
+        )
+        record = scene_to_dict(scene)
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = scene_from_dict(record)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            oracle_stage_heatmap(bad, 0, frozenset(), make_model(), make_spec())
+
 
 def _center_cell(spec, wx, wy):
     gx, gy = spec.world_to_grid((wx, wy))
@@ -684,10 +709,41 @@ class TestExperiment:
         assert a == b
 
     def test_jobs_do_not_change_results(self):
-        setup = make_setup(num_scenes=5)
+        # Nine scenes make two chunks of eight, so a real two-worker pool runs.
+        setup = make_setup(num_scenes=9)
         serial = run_experiment(setup, jobs=1)
         parallel = run_experiment(setup, jobs=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "num_scenes, jobs, workers",
+        [(3, 64, None), (8, 2, None), (9, 64, 2), (17, 2, 2), (17, 3, 3), (25, 64, 4)],
+    )
+    def test_pool_starts_at_most_one_worker_per_chunk(
+        self, monkeypatch, num_scenes, jobs, workers
+    ):
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and runs the map in process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        setup = make_setup(num_scenes=num_scenes)
+        result = run_experiment(setup, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert [o.scene_id for o in result.scenes] == [f"scene_{i:04d}" for i in range(num_scenes)]
 
     def test_scene_seeds_deterministic(self):
         a = scene_seeds(99, 8)
