@@ -45,6 +45,7 @@ from .geometry import (
 from .hip import (
     AccumulatedPositiveMask,
     Candidate,
+    CandidateColumns,
     HipConfig,
     HipResult,
     MaskType,
@@ -87,6 +88,7 @@ __all__ = [
     "BevProbeError",
     "BoxPoolConfig",
     "Candidate",
+    "CandidateColumns",
     "ConfigError",
     "DataError",
     "DeformSamplingConfig",

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BevBox, center_distance, rotated_iou_bev
-from .hip import Candidate
+from .hip import Candidate, CandidateColumns
 
 
 class MatchMetric(enum.Enum):
@@ -130,9 +130,14 @@ def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) ->
     if metric is MatchMetric.CENTER_DISTANCE:
         if n_pred == 0 or n_gt == 0:
             return np.zeros((n_pred, n_gt))
-        pc = np.array([prediction_center(p) for p in preds], dtype=np.float64)
+        if isinstance(preds, CandidateColumns):
+            px = preds.world_x.astype(np.float64, copy=False)[:, None]
+            py = preds.world_y.astype(np.float64, copy=False)[:, None]
+        else:
+            pc = np.array([prediction_center(p) for p in preds], dtype=np.float64)
+            px, py = pc[:, 0:1], pc[:, 1:2]
         gc = np.array([(g.cx, g.cy) for g in gts], dtype=np.float64)
-        return np.hypot(pc[:, 0:1] - gc[None, :, 0], pc[:, 1:2] - gc[None, :, 1])
+        return np.hypot(px - gc[None, :, 0], py - gc[None, :, 1])
     out = np.zeros((n_pred, n_gt))
     for i, p in enumerate(preds):
         if not isinstance(p, BevBox):
@@ -157,8 +162,12 @@ def match_thresholds(
     scores and, per threshold, the (gt index, pred index, sigma) pairs.
     """
     sigma = sigma_matrix(preds, gts, metric)
-    scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
-    pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
+    if isinstance(preds, CandidateColumns):
+        scores = preds.score.astype(np.float64)
+        pred_cls = preds.class_id.astype(np.int64)
+    else:
+        scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
+        pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
     gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
     per_threshold = [
         greedy_match_matrix(

@@ -19,15 +19,7 @@ from . import __version__
 from .bev_grid import load_heatmap
 from .errors import BevProbeError, ConfigError, DataError
 from .geometry import BevBox
-from .hip import (
-    HipConfig,
-    MaskType,
-    candidate_to_dict,
-    candidates_to_jsonl,
-    encode_compact_json,
-    run_hip,
-    save_mask,
-)
+from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
     RecallConfig,
     average_recall,
@@ -96,10 +88,10 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
-def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float]]:
-    """Sorted (threshold, recall) points of a pooled report read from JSON;
-    a key that is not a finite number or a recall that is not one raises
-    DataError naming it under ``where``."""
+def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float, str]]:
+    """Sorted (threshold, recall, key) points of a pooled report read from
+    JSON; a key that is not a finite number or a recall that is not one
+    raises DataError naming it under ``where``."""
     per_thr = pooled["per_threshold_recall"]
     if not isinstance(per_thr, dict):
         raise DataError(f"{where}.per_threshold_recall: expected an object, got {per_thr!r}")
@@ -115,7 +107,7 @@ def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float]]:
             raise DataError(
                 f"{where}.per_threshold_recall.{key}: expected a finite number, got {recall!r}"
             )
-        pts.append((t, float(recall)))
+        pts.append((t, float(recall), key))
     return sorted(pts)
 
 
@@ -173,18 +165,16 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
         pooled = result.arms[arm].pooled
         write_recall_csv(out / f"recall_{arm}.csv", recall_report_rows(pooled, scope=arm))
         write_recall_json(out / f"recall_{arm}.json", pooled)
-        lines = []
-        for outcome in result.scenes:
-            for cand in outcome.candidates[arm]:
-                record = {"scene_id": outcome.scene_id, **candidate_to_dict(cand)}
-                lines.append(encode_compact_json(record))
-        _write_text(out / f"candidates_{arm}.jsonl", "".join(l + "\n" for l in lines))
+        _write_text(
+            out / f"candidates_{arm}.jsonl",
+            "".join(o.candidates[arm].to_jsonl(o.scene_id) for o in result.scenes),
+        )
 
     # Sorted arm order keeps the chart byte-identical with `report`.
-    series = {
-        arm: _recall_curve_points(summary["arms"][arm]["pooled"], f"arms.{arm}.pooled")
-        for arm in sorted((ARM_PROBE, ARM_BASELINE))
-    }
+    series = {}
+    for arm in sorted((ARM_PROBE, ARM_BASELINE)):
+        pts = _recall_curve_points(summary["arms"][arm]["pooled"], f"arms.{arm}.pooled")
+        series[arm] = [(t, r) for t, r, _key in pts]
     _write_recall_curve(out, series)
     if save_scenes:
         scene_lines = []
@@ -267,7 +257,7 @@ def cmd_probe(
     result = run_hip(heatmaps, cfg, spec, box_provider=box_provider)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "candidates.jsonl", candidates_to_jsonl(result.candidates))
+    _write_text(out / "candidates.jsonl", result.columns.to_jsonl())
     for trace in result.traces:
         save_mask(out / f"mask_stage_{trace.stage}.bevgrid", trace.positive_mask)
     save_mask(out / "mask_accumulated.bevgrid", result.accumulated_mask)
@@ -422,18 +412,28 @@ def cmd_report(summary_path: str, output_dir: str) -> int:
             raise DataError(f"{summary_path}: arms.{arm} lacks pooled recall data")
         where = f"{summary_path}: arms.{arm}.pooled"
         pts = _recall_curve_points(pooled, where)
-        series[arm] = pts
+        series[arm] = [(t, r) for t, r, _key in pts]
         num_gt = pooled.get("num_gt", 0)
         if type(num_gt) is not int:
             raise DataError(f"{where}.num_gt: expected an integer, got {num_gt!r}")
         matched = pooled.get("num_matched", {})
         if not isinstance(matched, dict):
             raise DataError(f"{where}.num_matched: expected an object, got {matched!r}")
-        for t, r in pts:
-            num_matched = matched.get(repr(t), 0)
+        # An absent num_matched reads as 0 everywhere; a present one must
+        # spell its thresholds exactly as per_threshold_recall does.
+        if "num_matched" in pooled:
+            recall_keys = pooled["per_threshold_recall"]
+            for key in [*recall_keys, *matched]:
+                if (key in recall_keys) != (key in matched):
+                    raise DataError(
+                        f"{where}.num_matched.{key}: num_matched and per_threshold_recall "
+                        "must have the same keys"
+                    )
+        for t, r, key in pts:
+            num_matched = matched.get(key, 0)
             if type(num_matched) is not int:
                 raise DataError(
-                    f"{where}.num_matched.{t!r}: expected an integer, got {num_matched!r}"
+                    f"{where}.num_matched.{key}: expected an integer, got {num_matched!r}"
                 )
             rows.append(
                 {

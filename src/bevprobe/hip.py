@@ -11,13 +11,13 @@ modes are supported: the selected cell only, a square pooling window
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +77,100 @@ class Candidate:
     world_y: float
 
 
+_FIELDS = tuple(f.name for f in fields(Candidate))
+# ``CandidateColumns.of`` reads rows into these dtypes, which hold any grid
+# index and any float exactly; ``topk_select`` stores smaller index columns.
+_ROW_DTYPES = tuple(np.intp if f.type == "int" else np.float64 for f in fields(Candidate))
+# Key order of a JSONL record, and its body after any leading scene_id.
+_JSONL_FIELDS = ("stage", "x", "y", "class_id", "score", "world_x", "world_y")
+_JSONL_TEMPLATE = '"stage":%d,"x":%d,"y":%d,"class_id":%d,"score":%r,"world_x":%r,"world_y":%r}\n'
+
+
+class CandidateColumns(Sequence[Candidate]):
+    """A run of candidates held as one read-only numpy array per
+    ``Candidate`` field.
+
+    Indexing and iteration build ``Candidate`` rows whose fields are
+    Python ints and floats; a slice stays columnar. Two instances are
+    equal when every column holds the same values. Pickling ships the
+    arrays.
+    """
+
+    __slots__ = _FIELDS
+    __hash__ = None
+
+    def __init__(self, x, y, class_id, score, stage, world_x, world_y) -> None:
+        n = len(x)
+        for name, col in zip(_FIELDS, (x, y, class_id, score, stage, world_x, world_y)):
+            arr = np.asarray(col).view()
+            if arr.shape != (n,):
+                raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+
+    @classmethod
+    def of(cls, candidates: Sequence[Candidate]) -> "CandidateColumns":
+        """Columns of ``candidates``; an instance of this class is returned as is."""
+        if isinstance(candidates, cls):
+            return candidates
+        n = len(candidates)
+        return cls(*(
+            np.fromiter(map(attrgetter(f), candidates), dtype, n)
+            for f, dtype in zip(_FIELDS, _ROW_DTYPES)
+        ))
+
+    @classmethod
+    def concat(cls, parts: Sequence["CandidateColumns"]) -> "CandidateColumns":
+        if not parts:
+            return cls.of(())
+        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS))
+
+    def rows(self) -> tuple[Candidate, ...]:
+        return tuple(map(Candidate, *(getattr(self, f).tolist() for f in _FIELDS)))
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidateColumns(*(getattr(self, f)[index] for f in _FIELDS))
+        return Candidate(*(getattr(self, f)[index].item() for f in _FIELDS))
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CandidateColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
+
+    def __reduce__(self):
+        return (CandidateColumns, tuple(getattr(self, f) for f in _FIELDS))
+
+    def __repr__(self) -> str:
+        return f"CandidateColumns(<{len(self)} candidates>)"
+
+    def to_jsonl(self, scene_id: str | None = None) -> str:
+        """One compact JSON object per line, in candidate order, led by a
+        ``scene_id`` key when one is given.
+
+        The bytes equal ``json`` encoding of each record: ``%d`` of a
+        Python int and ``%r`` of a finite Python float are what the
+        encoder writes for them. A non-finite score or world coordinate,
+        which JSON cannot hold, raises ValueError naming the candidate.
+        """
+        finite = np.isfinite(self.score) & np.isfinite(self.world_x) & np.isfinite(self.world_y)
+        if not finite.all():
+            bad = self[int(np.argmin(finite))]
+            raise ValueError(f"candidate {bad} has a non-finite score or world coordinate")
+        head = "{"
+        if scene_id is not None:
+            head += '"scene_id":' + encode_compact_json(scene_id).replace("%", "%%") + ","
+        template = head + _JSONL_TEMPLATE
+        columns = (getattr(self, f).tolist() for f in _JSONL_FIELDS)
+        return "".join(map(template.__mod__, zip(*columns)))
+
+
 @dataclass(frozen=True)
 class PositiveMask:
     """Per-class 0/1 grid of claimed cells: one stage's selections, or the
@@ -108,8 +202,12 @@ AccumulatedPositiveMask = PositiveMask
 
 @dataclass(frozen=True)
 class TopKResult:
-    candidates: tuple[Candidate, ...]
+    columns: CandidateColumns
     degenerate: bool
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return self.columns.rows()
 
 
 def topk_select(
@@ -137,7 +235,7 @@ def topk_select(
         taken = accumulated.bits.ravel().view(np.bool_)
         n_open = n - int(np.count_nonzero(taken))
     if n_open == 0:
-        return TopKResult((), True)
+        return TopKResult(CandidateColumns.of(()), True)
     # Rank by negated score, which lies in [-1, 0], with +1 for every claimed
     # cell: np.partition selects from the low end much faster than from the
     # high end when most scores tie at zero.
@@ -160,19 +258,19 @@ def topk_select(
     scores = flat[chosen]
     cls, rem = np.divmod(chosen, spec.size_y * spec.size_x)
     ys, xs = np.divmod(rem, spec.size_x)
-    cands = tuple(
-        map(
-            Candidate,
-            xs.tolist(),
-            ys.tolist(),
-            cls.tolist(),
-            scores.tolist(),
-            itertools.repeat(stage),
-            (spec.origin_x + xs * spec.cell_size).tolist(),
-            (spec.origin_y + ys * spec.cell_size).tolist(),
-        )
+    # Every index lies below the cell count; int32 index columns take half
+    # the bytes of intp ones when outcomes are pickled between processes.
+    index = np.int32 if max(n, abs(stage)) < 2**31 else np.int64
+    cols = CandidateColumns(
+        xs.astype(index),
+        ys.astype(index),
+        cls.astype(index),
+        scores,
+        np.full(chosen.size, stage, dtype=index),
+        spec.origin_x + xs * spec.cell_size,
+        spec.origin_y + ys * spec.cell_size,
     )
-    return TopKResult(cands, int(np.count_nonzero(scores > 0.0)) < k)
+    return TopKResult(cols, int(np.count_nonzero(scores > 0.0)) < k)
 
 
 # Upper bound on padded window cells rasterized at once; a single box whose
@@ -248,14 +346,13 @@ def build_positive_mask(
     marks every cell whose sample point falls inside the candidate's
     predicted box (one box per candidate, required).
     """
-    n = len(candidates)
-    cls, ys, xs = index = tuple(
-        np.fromiter(map(attrgetter(f), candidates), np.intp, n) for f in ("class_id", "y", "x")
-    )
+    cols = CandidateColumns.of(candidates)
+    n = len(cols)
+    cls, ys, xs = index = (cols.class_id, cols.y, cols.x)
     try:
         cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
     except ValueError:
-        bad = next(cd for cd in candidates if not (
+        bad = next(cd for cd in cols if not (
             0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)))
         raise ValueError(f"candidate {bad} lies outside the grid") from None
     bits = np.zeros(spec.shape, dtype=np.uint8)
@@ -295,7 +392,7 @@ def apply_mask(heatmap: Heatmap, accumulated: PositiveMask) -> Heatmap:
     return Heatmap(heatmap.spec, heatmap.values * (accumulated.bits == 0))
 
 
-StageSource = Callable[[int, tuple[Candidate, ...]], Heatmap]
+StageSource = Callable[[int, Sequence[Candidate]], Heatmap]
 BoxProvider = Callable[[Sequence[Candidate]], Sequence[BevBox]]
 
 
@@ -305,18 +402,26 @@ class StageTrace:
 
     stage: int
     masked_heatmap: Heatmap
-    candidates: tuple[Candidate, ...]
+    columns: CandidateColumns
     positive_mask: PositiveMask
     accumulated_mask: PositiveMask
     degenerate: bool
 
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return self.columns.rows()
+
 
 @dataclass(frozen=True)
 class HipResult:
-    candidates: tuple[Candidate, ...]
+    columns: CandidateColumns
     accumulated_mask: PositiveMask
     traces: tuple[StageTrace, ...]
     degenerate: bool
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return self.columns.rows()
 
 
 def run_hip(
@@ -328,7 +433,9 @@ def run_hip(
     """Run the full staged probing loop.
 
     ``stage_source`` is either a sequence of exactly ``cfg.num_stages``
-    heatmaps or a callable ``(stage, candidates_so_far) -> Heatmap``. BOX
+    heatmaps or a callable ``(stage, candidates_so_far) -> Heatmap``,
+    which receives the earlier stages' selections as one
+    ``CandidateColumns``. BOX
     masking additionally needs ``box_provider`` mapping a stage's
     candidates to one predicted box each. A source's ConfigError or
     DataError propagates unchanged; any other source error is re-raised as
@@ -347,11 +454,11 @@ def run_hip(
         raise ValueError("box masking requires a box_provider")
 
     accumulated = PositiveMask.zeros(spec)
-    collected: list[Candidate] = []
+    collected: list[CandidateColumns] = []
     traces: list[StageTrace] = []
     for stage in range(cfg.num_stages):
         try:
-            hm = fetch(stage, tuple(collected))
+            hm = fetch(stage, CandidateColumns.concat(collected))
         except BevProbeError:
             raise
         except Exception as exc:
@@ -362,38 +469,25 @@ def run_hip(
         result = topk_select(hm, accumulated, cfg.k_per_stage[stage], stage=stage)
         boxes = None
         if cfg.mask_type is MaskType.BOX:
-            boxes = list(box_provider(result.candidates))
+            boxes = list(box_provider(result.columns))
         try:
-            stage_mask = build_positive_mask(result.candidates, cfg, spec, boxes=boxes)
+            stage_mask = build_positive_mask(result.columns, cfg, spec, boxes=boxes)
         except ValueError as exc:
             raise ValueError(f"stage {stage}: {exc}") from exc
         accumulated = accumulate_mask(accumulated, stage_mask)
         traces.append(
             StageTrace(
-                stage, masked, result.candidates, stage_mask, accumulated,
+                stage, masked, result.columns, stage_mask, accumulated,
                 result.degenerate,
             )
         )
-        collected.extend(result.candidates)
+        collected.append(result.columns)
     return HipResult(
-        tuple(collected),
+        CandidateColumns.concat(collected),
         accumulated,
         tuple(traces),
         any(t.degenerate for t in traces),
     )
-
-
-def candidate_to_dict(cand: Candidate) -> dict:
-    """JSON-ready record; key order is part of the dump format."""
-    return {
-        "stage": cand.stage,
-        "x": cand.x,
-        "y": cand.y,
-        "class_id": cand.class_id,
-        "score": cand.score,
-        "world_x": cand.world_x,
-        "world_y": cand.world_y,
-    }
 
 
 def candidate_from_dict(d: dict) -> Candidate:
@@ -405,9 +499,9 @@ encode_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def candidates_to_jsonl(candidates: Sequence[Candidate]) -> str:
-    """One compact JSON object per line, in candidate order."""
-    lines = [encode_compact_json(candidate_to_dict(cd)) for cd in candidates]
-    return "".join(line + "\n" for line in lines)
+    """One compact JSON object per line, in candidate order; see
+    :meth:`CandidateColumns.to_jsonl`."""
+    return CandidateColumns.of(candidates).to_jsonl()
 
 
 def candidates_from_jsonl(text: str) -> list[Candidate]:

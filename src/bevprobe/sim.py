@@ -27,7 +27,7 @@ from .assignment import MatchConfig, MatchMetric, classify_stage
 from .bev_grid import BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, radius_for_box
 from .errors import ConfigError, DataError, from_json
 from .geometry import BevBox
-from .hip import Candidate, HipConfig, MaskType, run_hip
+from .hip import CandidateColumns, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
 
 _PLACEMENT_ATTEMPTS = 10_000
@@ -423,7 +423,7 @@ class SceneOutcome:
     scene_id: str
     seed: int
     reports: dict[str, RecallReport]
-    candidates: dict[str, tuple[Candidate, ...]]
+    candidates: dict[str, CandidateColumns]
     degenerate: dict[str, bool]
     delta: float
 
@@ -453,13 +453,13 @@ _SCENES_PER_CHUNK = 8
 
 def _run_arm(
     scene: SyntheticScene, cfg: HipConfig, setup: ExperimentSetup
-) -> tuple[tuple[Candidate, ...], bool]:
+) -> tuple[CandidateColumns, bool]:
     """Run one arm's staged loop against the oracle detector."""
     model = setup.model
     spec = setup.params.spec
     detect_cfg = MatchConfig(MatchMetric.CENTER_DISTANCE, model.detect_eta)
 
-    def source(stage: int, collected: tuple[Candidate, ...]) -> Heatmap:
+    def source(stage: int, collected: CandidateColumns) -> Heatmap:
         if stage == 0:
             detected: frozenset[int] = frozenset()
         else:
@@ -467,7 +467,7 @@ def _run_arm(
         return oracle_stage_heatmap(scene, stage, detected, model, spec, setup.render_cfg)
 
     result = run_hip(source, cfg, spec)
-    return result.candidates, result.degenerate
+    return result.columns, result.degenerate
 
 
 def scene_for_seed(setup: ExperimentSetup, seed: int) -> SyntheticScene:
@@ -478,7 +478,7 @@ def scene_for_seed(setup: ExperimentSetup, seed: int) -> SyntheticScene:
 def _run_scene(setup: ExperimentSetup, index: int, seed: int) -> SceneOutcome:
     scene = scene_for_seed(setup, seed)
     reports: dict[str, RecallReport] = {}
-    candidates: dict[str, tuple[Candidate, ...]] = {}
+    candidates: dict[str, CandidateColumns] = {}
     degenerate: dict[str, bool] = {}
     for arm, cfg in ((ARM_PROBE, setup.hip_cfg), (ARM_BASELINE, setup.baseline_cfg)):
         cands, degen = _run_arm(scene, cfg, setup)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevprobe import hip
 from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap, write_grid_tensor
 from bevprobe.cli import main
 from bevprobe.errors import ConfigError
@@ -114,6 +115,15 @@ class TestSimulateCommand:
         svg = (out / "recall_curve.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polyline" in svg and "hip" in svg and "baseline" in svg
+
+    def test_writes_candidates_without_building_rows(self, tmp_path, monkeypatch):
+        # Candidates stay columns from top-k selection to the JSONL files.
+        def no_rows(*args):
+            raise AssertionError("a Candidate row was built")
+
+        monkeypatch.setattr(hip, "Candidate", no_rows)
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -790,6 +800,8 @@ class TestReportCommand:
             (("num_matched", "4.0"), 2.5, "arms.hip.pooled.num_matched.4.0"),
             (("num_gt",), "11", "arms.hip.pooled.num_gt"),
             (("num_gt",), True, "arms.hip.pooled.num_gt"),
+            (("num_matched", "4.0"), DELETE, "arms.hip.pooled.num_matched.4.0"),
+            (("num_matched", "8.0"), 3, "arms.hip.pooled.num_matched.8.0"),
         ],
     )
     def test_malformed_summary_exits_3(self, tmp_path, capsys, slot, value, named):
@@ -803,6 +815,27 @@ class TestReportCommand:
         assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "matched, code, expect",
+        [
+            ({"num_matched": {"1": 3}}, 0, "hip,*,1.0,0.5,6,3"),
+            ({}, 0, "hip,*,1.0,0.5,6,0"),
+            ({"num_matched": {"1.0": 3}}, 3, "arms.hip.pooled.num_matched.1:"),
+            ({"num_matched": {}}, 3, "arms.hip.pooled.num_matched.1:"),
+        ],
+    )
+    def test_num_matched_read_by_recall_key(self, tmp_path, capsys, matched, code, expect):
+        pooled = {"per_threshold_recall": {"1": 0.5}, "num_gt": 6, **matched}
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"arms": {"hip": {"pooled": pooled}}}))
+        assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == code
+        if code == 0:
+            rows = (tmp_path / "o" / "recall_summary.csv").read_text().splitlines()
+            assert rows[1:] == [expect]
+        else:
+            err = capsys.readouterr().err
+            assert expect in err and "Traceback" not in err
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"

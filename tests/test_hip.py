@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,19 @@ class TestCandidateSerialization:
         assert line.startswith('{"stage":1,"x":1,"y":2,"class_id":0,"score":0.5')
         record = json.loads(line)
         assert list(record) == ["stage", "x", "y", "class_id", "score", "world_x", "world_y"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Candidate(0, 0, 0, math.nan, 0, math.inf, 0.0),
+            Candidate(1, 0, 0, 0.5, 0, math.inf, 0.0),
+            Candidate(2, 0, 0, 0.5, 0, 0.0, -math.inf),
+        ],
+    )
+    def test_non_finite_candidate_rejected_by_writer(self, bad):
+        good = Candidate(1, 2, 0, 0.5, 1, 0.5, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"candidate {bad} ")):
+            candidates_to_jsonl([good, bad, Candidate(3, 0, 0, math.nan, 0, 0.0, 0.0)])
 
     def test_malformed_line_rejected(self):
         good = '{"stage":0,"x":1,"y":2,"class_id":0,"score":0.5,"world_x":1.0,"world_y":2.0}\n'

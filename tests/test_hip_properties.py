@@ -1,13 +1,16 @@
-"""Property tests for the vectorized top-k and mask layers of ``hip``.
+"""Property tests for the vectorized top-k, mask and candidate-column
+layers of ``hip``.
 
 Each test compares the array implementation with a plain oracle: a full
 sort of the open cells for ``topk_select``, the per-box window rasterizer
 that ``build_positive_mask`` used before it rasterized all of a stage's
-boxes at once, and the per-candidate loops it used before it marked every
-mask type from index columns.
+boxes at once, the per-candidate loops it used before it marked every
+mask type from index columns, and a ``json`` encoder run on one record
+dict per candidate for the JSONL writer.
 """
 
 import math
+import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -18,16 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevprobe import hip
+from bevprobe.assignment import MatchConfig, classify_stage
 from bevprobe.bev_grid import BevGridSpec, Heatmap
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
     AccumulatedPositiveMask,
     Candidate,
+    CandidateColumns,
     HipConfig,
     MaskType,
     build_positive_mask,
+    candidates_from_jsonl,
+    candidates_to_jsonl,
+    encode_compact_json,
     topk_select,
 )
+from bevprobe.metrics import RecallConfig, average_recall
 
 
 def full_sort_topk(values, bits, k):
@@ -305,3 +314,130 @@ class TestMaskProperties:
         else:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 build_positive_mask(candidates, cfg, spec)
+
+
+def candidate_record(cand, scene_id=None):
+    """Oracle: the JSONL record as a dict in dump key order, run through
+    the ``json`` encoder."""
+    head = {} if scene_id is None else {"scene_id": scene_id}
+    return encode_compact_json({
+        **head,
+        "stage": cand.stage,
+        "x": cand.x,
+        "y": cand.y,
+        "class_id": cand.class_id,
+        "score": cand.score,
+        "world_x": cand.world_x,
+        "world_y": cand.world_y,
+    })
+
+
+@st.composite
+def candidate_columns(draw, spec):
+    """Columns as ``topk_select`` stores them: int32 indices biased onto
+    the grid edges, float32 scores (whose doubles print many digits) and
+    world coordinates on the grid or anywhere, negative ones included."""
+    n = draw(st.integers(0, 12))
+    xs = [draw(grid_indices(spec.size_x)) for _ in range(n)]
+    ys = [draw(grid_indices(spec.size_y)) for _ in range(n)]
+    cls = [draw(st.integers(0, spec.num_classes - 1)) for _ in range(n)]
+    scores = [draw(st.floats(0.0, 1.0, width=32)) for _ in range(n)]
+    stages = [draw(st.integers(0, 4)) for _ in range(n)]
+    world = []
+    for x, y in zip(xs, ys):
+        if draw(st.booleans()):
+            world.append(spec.grid_to_world((x, y)))
+        else:
+            world.append((draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))))
+    wx, wy = (np.array([w[i] for w in world], dtype=np.float64) for i in (0, 1))
+    index = lambda v: np.array(v, dtype=np.int32)
+    return CandidateColumns(
+        index(xs), index(ys), index(cls), np.array(scores, dtype=np.float32),
+        index(stages), wx, wy,
+    )
+
+
+scene_ids = st.one_of(st.none(), st.sampled_from(["scene_0000", "100%", 'a"b\\c']), st.text())
+
+
+class TestCandidateColumnsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_jsonl_matches_json_encoder(self, data):
+        spec = data.draw(grid_specs())
+        cols = data.draw(candidate_columns(spec))
+        scene_id = data.draw(scene_ids)
+
+        text = cols.to_jsonl(scene_id)
+
+        assert text == "".join(candidate_record(c, scene_id) + "\n" for c in cols.rows())
+        if scene_id is None:
+            assert candidates_to_jsonl(cols.rows()) == text
+            assert candidates_from_jsonl(text) == list(cols.rows())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_round_trip_with_python_types(self, data):
+        spec = data.draw(grid_specs())
+        cols = data.draw(candidate_columns(spec))
+
+        rows = cols.rows()
+
+        assert CandidateColumns.of(rows) == cols
+        assert list(cols) == list(rows) and len(cols) == len(rows)
+        assert [cols[i] for i in range(-len(cols), len(cols))] == list(rows + rows)
+        assert cols[1:3] == CandidateColumns.of(rows[1:3])
+        for c in rows:
+            assert all(type(v) is int for v in (c.x, c.y, c.class_id, c.stage))
+            assert all(type(v) is float for v in (c.score, c.world_x, c.world_y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pickle_round_trips_read_only_columns(self, data):
+        spec = data.draw(grid_specs())
+        cols = data.draw(candidate_columns(spec))
+
+        back = pickle.loads(pickle.dumps(cols))
+
+        assert back == cols and back.rows() == cols.rows()
+        assert not any(getattr(back, f).flags.writeable for f in hip._FIELDS)
+        with pytest.raises(ValueError):
+            back.score[...] = 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_columns_and_rows_give_equal_masks_matches_and_recall(self, data):
+        spec = data.draw(grid_specs())
+        cols = data.draw(candidate_columns(spec))
+        rows = cols.rows()
+        mode = data.draw(st.sampled_from(list(MaskType)))
+        cfg = HipConfig(
+            num_stages=1,
+            k_per_stage=(1,),
+            mask_type=mode,
+            small_classes=data.draw(st.frozensets(st.integers(0, spec.num_classes - 1))),
+            pooling_kernel=data.draw(st.sampled_from([1, 3, 5])),
+        )
+        boxes = None
+        if mode is MaskType.BOX:
+            boxes = [
+                BevBox(c.world_x, c.world_y, 2.5 * spec.cell_size, spec.cell_size, 0.3, c.class_id)
+                for c in rows
+            ]
+        gts = [
+            BevBox(
+                data.draw(st.floats(-20.0, 20.0)), data.draw(st.floats(-20.0, 20.0)),
+                1.0, 1.0, 0.0, data.draw(st.integers(0, spec.num_classes - 1)),
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        recall_cfg = RecallConfig((0.5, 2.0, 8.0), data.draw(st.booleans()))
+
+        from_cols = build_positive_mask(cols, cfg, spec, boxes=boxes)
+        from_rows = build_positive_mask(rows, cfg, spec, boxes=boxes)
+
+        assert from_cols.bits.tobytes() == from_rows.bits.tobytes()
+        assert classify_stage(cols, gts, MatchConfig(eta=2.0)) == classify_stage(
+            rows, gts, MatchConfig(eta=2.0)
+        )
+        assert average_recall(cols, gts, recall_cfg) == average_recall(rows, gts, recall_cfg)

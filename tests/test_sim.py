@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from bevprobe.bev_grid import (
 )
 from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox, center_distance
-from bevprobe.hip import HipConfig, MaskType
+from bevprobe.hip import CandidateColumns, HipConfig, MaskType
 from bevprobe.metrics import RecallConfig
 from bevprobe.sim import (
     ARM_BASELINE,
@@ -707,6 +708,13 @@ class TestExperiment:
         a = run_experiment(make_setup(num_scenes=3))
         b = run_experiment(make_setup(num_scenes=3))
         assert a == b
+
+    def test_outcomes_survive_pickling(self):
+        # Pool workers ship each SceneOutcome back pickled.
+        for outcome in run_experiment(make_setup(num_scenes=2)).scenes:
+            back = pickle.loads(pickle.dumps(outcome))
+            assert back == outcome
+            assert all(type(c) is CandidateColumns for c in back.candidates.values())
 
     def test_jobs_do_not_change_results(self):
         # Nine scenes make two chunks of eight, so a real two-worker pool runs.
