@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import __version__
 from .bev_grid import load_heatmap
-from .errors import BevProbeError, ConfigError, DataError
+from .errors import BevProbeError, ConfigError, DataError, typed
 from .geometry import BevBox
 from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
@@ -71,43 +71,28 @@ def _run_info() -> dict:
     }
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
+    """The non-blank comma-separated entries of ``text`` read by ``kind``."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{flag}: expected at least one value")
-    return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"{flag}: expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float, str]]:
     """Sorted (threshold, recall, key) points of a pooled report read from
     JSON; a key that is not a finite number or a recall that is not one
     raises DataError naming it under ``where``."""
-    per_thr = pooled["per_threshold_recall"]
-    if not isinstance(per_thr, dict):
-        raise DataError(f"{where}.per_threshold_recall: expected an object, got {per_thr!r}")
+    where = f"{where}.per_threshold_recall"
     pts = []
-    for key, recall in per_thr.items():
+    for key, recall in typed(dict, pooled["per_threshold_recall"], where, DataError).items():
         try:
             t = float(key)
         except ValueError:
             t = math.nan
         if not math.isfinite(t):
-            raise DataError(f"{where}.per_threshold_recall: key {key!r} is not a finite number")
-        if type(recall) not in (int, float) or not abs(recall) <= _FLOAT_MAX:
-            raise DataError(
-                f"{where}.per_threshold_recall.{key}: expected a finite number, got {recall!r}"
-            )
-        pts.append((t, float(recall), key))
+            raise DataError(f"{where}: key {key!r} is not a finite number")
+        pts.append((t, float(typed(float, recall, f"{where}.{key}", DataError)), key))
     return sorted(pts)
 
 
@@ -124,11 +109,11 @@ def _write_recall_curve(out: Path, series: dict[str, list[tuple[float, float]]])
     )
 
 
-def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool) -> int:
-    cfg = _read_json(Path(config_path), "experiment config", err=ConfigError)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = _read_json(Path(args.config), "experiment config", err=ConfigError)
     setup = experiment_from_config(cfg)
-    result = run_experiment(setup, jobs=jobs)
-    out = Path(output_dir)
+    result = run_experiment(setup, jobs=args.jobs)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     per_scene = []
@@ -176,7 +161,7 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
         pts = _recall_curve_points(summary["arms"][arm]["pooled"], f"arms.{arm}.pooled")
         series[arm] = [(t, r) for t, r, _key in pts]
     _write_recall_curve(out, series)
-    if save_scenes:
+    if args.save_scenes:
         scene_lines = []
         for outcome in result.scenes:
             scene = scene_for_seed(setup, outcome.seed)
@@ -186,41 +171,29 @@ def cmd_simulate(config_path: str, output_dir: str, jobs: int, save_scenes: bool
     return 0
 
 
-def cmd_probe(
-    stage_paths: Sequence[str],
-    output_dir: str,
-    k: int | None,
-    k_per_stage: str | None,
-    mask_type: str,
-    small_classes: str | None,
-    pooling_kernel: int,
-    box_length: float | None,
-    box_width: float | None,
-) -> int:
+def cmd_probe(args: argparse.Namespace) -> int:
+    stage_paths = args.stage
     if not stage_paths:
         raise ConfigError("at least one --stage heatmap is required")
     num_stages = len(stage_paths)
-    if k is not None and k_per_stage is not None:
+    if args.k is not None and args.k_per_stage is not None:
         raise ConfigError("--k and --k-per-stage are mutually exclusive")
-    if k is not None:
-        budgets = [int(k)] * num_stages
-    elif k_per_stage is not None:
-        budgets = _parse_int_list(k_per_stage, "--k-per-stage")
+    if args.k is not None:
+        budgets = [args.k] * num_stages
+    elif args.k_per_stage is not None:
+        budgets = _parse_list(args.k_per_stage, "--k-per-stage", int, "integers")
         if len(budgets) != num_stages:
             raise ConfigError(
                 f"--k-per-stage lists {len(budgets)} budgets for {num_stages} stage files"
             )
     else:
         raise ConfigError("one of --k or --k-per-stage is required")
-    try:
-        mtype = MaskType(mask_type)
-    except ValueError as exc:
-        raise ConfigError(f"unknown --mask-type {mask_type!r}") from exc
-    small = frozenset(_parse_int_list(small_classes, "--small-classes")) if small_classes else frozenset()
+    mtype = MaskType(args.mask_type)
+    small = frozenset(_parse_list(args.small_classes or "", "--small-classes", int, "integers"))
     if mtype is MaskType.BOX:
-        if box_length is None or box_width is None:
+        if args.box_length is None or args.box_width is None:
             raise ConfigError("box masking requires --box-length and --box-width")
-        for flag, size in (("--box-length", box_length), ("--box-width", box_width)):
+        for flag, size in (("--box-length", args.box_length), ("--box-width", args.box_width)):
             if not (math.isfinite(size) and size > 0.0):
                 raise ConfigError(f"{flag} must be a finite positive number, got {size}")
     try:
@@ -229,7 +202,7 @@ def cmd_probe(
             k_per_stage=tuple(budgets),
             mask_type=mtype,
             small_classes=small,
-            pooling_kernel=pooling_kernel,
+            pooling_kernel=args.pooling_kernel,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -250,12 +223,12 @@ def cmd_probe(
     if mtype is MaskType.BOX:
         def box_provider(cands):
             return [
-                BevBox(c.world_x, c.world_y, box_length, box_width, 0.0, c.class_id)
+                BevBox(c.world_x, c.world_y, args.box_length, args.box_width, 0.0, c.class_id)
                 for c in cands
             ]
 
     result = run_hip(heatmaps, cfg, spec, box_provider=box_provider)
-    out = Path(output_dir)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "candidates.jsonl", result.columns.to_jsonl())
     for trace in result.traces:
@@ -335,17 +308,17 @@ def load_detection_dump(path: Path) -> list[tuple[str, list[BevBox], list[BevBox
     return scenes
 
 
-def cmd_audit(dump_path: str, output_dir: str, thresholds: str, class_agnostic: bool) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     try:
         recall_cfg = RecallConfig(
-            tuple(_parse_float_list(thresholds, "--thresholds")),
-            class_agnostic=class_agnostic,
+            _parse_list(args.thresholds, "--thresholds", float, "numbers"),
+            class_agnostic=args.class_agnostic,
         )
     except ValueError as exc:
         raise ConfigError(f"--thresholds: {exc}") from exc
-    scenes = load_detection_dump(Path(dump_path))
+    scenes = load_detection_dump(Path(args.dump))
     if not scenes:
-        raise DataError(f"{dump_path}: dump contains no scenes")
+        raise DataError(f"{args.dump}: dump contains no scenes")
 
     reports = []
     inventory = []
@@ -372,7 +345,7 @@ def cmd_audit(dump_path: str, output_dir: str, thresholds: str, class_agnostic: 
                 }
             )
     pooled = merge_reports(reports, recall_cfg)
-    out = Path(output_dir)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_recall_csv(out / "recall.csv", recall_report_rows(pooled, scope="overall"))
     write_recall_json(out / "recall.json", pooled)
@@ -395,14 +368,15 @@ def cmd_audit(dump_path: str, output_dir: str, thresholds: str, class_agnostic: 
     return 0
 
 
-def cmd_report(summary_path: str, output_dir: str) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
+    summary_path = args.summary
     summary = _read_json(Path(summary_path), "experiment summary")
     if not isinstance(summary, dict):
         raise DataError(f"{summary_path}: expected an object, got {type(summary).__name__}")
     arms = summary.get("arms")
     if not isinstance(arms, dict) or not arms:
         raise DataError(f"{summary_path}: missing 'arms' section")
-    out = Path(output_dir)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     series = {}
     rows = []
@@ -413,12 +387,8 @@ def cmd_report(summary_path: str, output_dir: str) -> int:
         where = f"{summary_path}: arms.{arm}.pooled"
         pts = _recall_curve_points(pooled, where)
         series[arm] = [(t, r) for t, r, _key in pts]
-        num_gt = pooled.get("num_gt", 0)
-        if type(num_gt) is not int:
-            raise DataError(f"{where}.num_gt: expected an integer, got {num_gt!r}")
-        matched = pooled.get("num_matched", {})
-        if not isinstance(matched, dict):
-            raise DataError(f"{where}.num_matched: expected an object, got {matched!r}")
+        num_gt = typed(int, pooled.get("num_gt", 0), f"{where}.num_gt", DataError)
+        matched = typed(dict, pooled.get("num_matched", {}), f"{where}.num_matched", DataError)
         # An absent num_matched reads as 0 everywhere; a present one must
         # spell its thresholds exactly as per_threshold_recall does.
         if "num_matched" in pooled:
@@ -430,11 +400,7 @@ def cmd_report(summary_path: str, output_dir: str) -> int:
                         "must have the same keys"
                     )
         for t, r, key in pts:
-            num_matched = matched.get(key, 0)
-            if type(num_matched) is not int:
-                raise DataError(
-                    f"{where}.num_matched.{key}: expected an integer, got {num_matched!r}"
-                )
+            num_matched = typed(int, matched.get(key, 0), f"{where}.num_matched.{key}", DataError)
             rows.append(
                 {
                     "scope": arm,
@@ -462,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument("--jobs", type=int, default=1, help="worker processes (results are identical for any value)")
     p_sim.add_argument("--save-scenes", action="store_true", help="also dump generated scenes as JSONL")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_probe = sub.add_parser("probe", help="run staged top-k probing over heatmap files")
     p_probe.add_argument("--stage", action="append", default=[], metavar="FILE",
@@ -474,35 +441,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--pooling-kernel", type=int, default=3)
     p_probe.add_argument("--box-length", type=float, default=None, help="box mask length in meters")
     p_probe.add_argument("--box-width", type=float, default=None, help="box mask width in meters")
+    p_probe.set_defaults(run=cmd_probe)
 
     p_audit = sub.add_parser("audit", help="recall and false-negative audit of a detection dump")
     p_audit.add_argument("--dump", required=True, help="detection dump JSON")
     p_audit.add_argument("--output-dir", required=True)
     p_audit.add_argument("--thresholds", default="0.5,1,2,4")
     p_audit.add_argument("--class-agnostic", action="store_true")
+    p_audit.set_defaults(run=cmd_audit)
 
     p_report = sub.add_parser("report", help="regenerate tables and charts from a summary.json")
     p_report.add_argument("--summary", required=True)
     p_report.add_argument("--output-dir", required=True)
+    p_report.set_defaults(run=cmd_report)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Built per call, so each subparser runs whatever cmd_* is bound now.
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.output_dir, args.jobs, args.save_scenes)
-        if args.command == "probe":
-            return cmd_probe(
-                args.stage, args.output_dir, args.k, args.k_per_stage, args.mask_type,
-                args.small_classes, args.pooling_kernel, args.box_length, args.box_width,
-            )
-        if args.command == "audit":
-            return cmd_audit(args.dump, args.output_dir, args.thresholds, args.class_agnostic)
-        if args.command == "report":
-            return cmd_report(args.summary, args.output_dir)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"bevprobe: config error: {exc}", file=sys.stderr)
         return 2
@@ -512,7 +471,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BevProbeError as exc:
         print(f"bevprobe: error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -34,12 +34,12 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _typed(tp, value, path: str, err: type[BevProbeError]):
+def typed(tp, value, path: str, err: type[BevProbeError]):
     """Check one JSON value against a field annotation. Lists become tuples
     or frozensets and strings become enum members; all else passes as is."""
     origin = typing.get_origin(tp)
     if origin is types.UnionType:  # ``T | None``, the only union in use
-        return None if value is None else _typed(typing.get_args(tp)[0], value, path, err)
+        return None if value is None else typed(typing.get_args(tp)[0], value, path, err)
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise err(f"{path}: expected a list, got {value!r}")
@@ -49,7 +49,7 @@ def _typed(tp, value, path: str, err: type[BevProbeError]):
         elif len(value) != len(args):
             raise err(f"{path}: expected {len(args)} entries, got {len(value)}")
         return origin(
-            _typed(t, v, f"{path}[{i}]", err) for i, (t, v) in enumerate(zip(args, value))
+            typed(t, v, f"{path}[{i}]", err) for i, (t, v) in enumerate(zip(args, value))
         )
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value, path, err)
@@ -95,7 +95,7 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
     kwargs = dict(given)
     for name, f in fields.items():
         if name in raw:
-            kwargs[name] = _typed(hints[name], raw[name], _at(path, name), err)
+            kwargs[name] = typed(hints[name], raw[name], _at(path, name), err)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise err(f"{_at(path, name)}: required key is missing")
     try:
