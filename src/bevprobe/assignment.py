@@ -137,7 +137,10 @@ def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) ->
             pc = np.array([prediction_center(p) for p in preds], dtype=np.float64)
             px, py = pc[:, 0:1], pc[:, 1:2]
         gc = np.array([(g.cx, g.cy) for g in gts], dtype=np.float64)
-        return np.hypot(px - gc[None, :, 0], py - gc[None, :, 1])
+        # Centers far apart may overflow to an infinite distance, which
+        # never matches: the right answer, so no warning.
+        with np.errstate(over="ignore"):
+            return np.hypot(px - gc[None, :, 0], py - gc[None, :, 1])
     out = np.zeros((n_pred, n_gt))
     for i, p in enumerate(preds):
         if not isinstance(p, BevBox):

@@ -81,11 +81,14 @@ def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
 
 def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float, str]]:
     """Sorted (threshold, recall, key) points of a pooled report read from
-    JSON; a key that is not a finite number or a recall that is not one
-    raises DataError naming it under ``where``."""
+    JSON; no threshold at all, a key that is not a finite number or a
+    recall that is not one raises DataError naming it under ``where``."""
     where = f"{where}.per_threshold_recall"
+    per_thr = typed(dict, pooled["per_threshold_recall"], where, DataError)
+    if not per_thr:
+        raise DataError(f"{where}: expected at least one threshold")
     pts = []
-    for key, recall in typed(dict, pooled["per_threshold_recall"], where, DataError).items():
+    for key, recall in per_thr.items():
         try:
             t = float(key)
         except ValueError:
@@ -376,8 +379,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     arms = summary.get("arms")
     if not isinstance(arms, dict) or not arms:
         raise DataError(f"{summary_path}: missing 'arms' section")
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     series = {}
     rows = []
     for arm in sorted(arms):
@@ -411,6 +412,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                     "num_matched": num_matched,
                 }
             )
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_recall_curve(out, series)
     write_recall_csv(out / "recall_summary.csv", rows)
     return 0

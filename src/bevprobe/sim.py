@@ -24,13 +24,16 @@ from functools import cached_property
 import numpy as np
 
 from .assignment import MatchConfig, MatchMetric, classify_stage
-from .bev_grid import BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, radius_for_box
+from .bev_grid import (
+    BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, gaussian_radius, radius_for_box,
+)
 from .errors import ConfigError, DataError, from_json
 from .geometry import BevBox
 from .hip import CandidateColumns, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
 
 _PLACEMENT_ATTEMPTS = 10_000
+_MIN_BOX_SIDE = 0.05  # meters; a drawn length or width is floored here
 # Scene generation holds a boolean table and each render a float64 canvas
 # of the grid's full size, so a simulated grid has at most 2**24 cells.
 MAX_SCENE_CELLS = 1 << 24
@@ -62,6 +65,9 @@ class SceneParams:
         lo, hi = self.num_objects_range
         if not 0 <= lo <= hi:
             raise ValueError(f"bad num_objects_range {self.num_objects_range}")
+        # numpy's int64 bound; the count draw cannot terminate above 2**64.
+        if hi >= 2**63:
+            raise ValueError(f"num_objects_range must stay below 2**63, got {hi}")
         if len(self.class_mix) != self.spec.num_classes:
             raise ValueError("class_mix length must equal the grid's class count")
         if len(self.size_table) != self.spec.num_classes:
@@ -298,8 +304,8 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
     for i in range(count):
         class_id = rng.choice(mix)
         mean_l, mean_w, jitter = params.size_table[class_id]
-        length = max(0.05, mean_l * (1.0 + rng.uniform(-jitter, jitter)))
-        width = max(0.05, mean_w * (1.0 + rng.uniform(-jitter, jitter)))
+        length = max(_MIN_BOX_SIDE, mean_l * (1.0 + rng.uniform(-jitter, jitter)))
+        width = max(_MIN_BOX_SIDE, mean_w * (1.0 + rng.uniform(-jitter, jitter)))
         yaw = rng.uniform(-np.pi, np.pi)
         taken = centers_by_class.setdefault(class_id, [])
         for _attempt in range(_PLACEMENT_ATTEMPTS):
@@ -416,6 +422,21 @@ class ExperimentSetup:
     def __post_init__(self) -> None:
         if self.num_scenes < 1:
             raise ValueError("num_scenes must be at least 1")
+        # Each splat builds a (2r+1)^2 kernel. Bound r by the class's largest
+        # box, plus one cell: gaussian_radius is monotone only up to rounding.
+        spec, render = self.params.spec, self.render_cfg
+        for c, (mean_l, mean_w, jitter) in enumerate(self.params.size_table):
+            sides = (max(_MIN_BOX_SIDE, m * (1.0 + jitter)) for m in (mean_l, mean_w))
+            r = gaussian_radius(*(s / spec.cell_size for s in sides), render.min_overlap) + 1.0
+            r = max(render.min_radius_cells, int(r)) if math.isfinite(r) else math.inf
+            if (2 * r + 1) ** 2 > MAX_SCENE_CELLS:
+                key = f"scene.size_table[{c}]"
+                if r == render.min_radius_cells:
+                    key = "render.min_radius_cells"
+                raise ValueError(
+                    f"{key}: a splat radius of {r} cells needs a window above the simulator's "
+                    f"ceiling of {MAX_SCENE_CELLS} cells"
+                )
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,9 @@ class TestSimulateCommand:
             ("hip", "mask_type", "POINT"),
             ("grid", "cell_size", 1e298),
             ("detectability", "clutter_clearance", 1e200),
+            ("render", "min_radius_cells", 1_000_000),
+            ("scene", "size_table", [[1e7, 1e7, 0.1], [0.8, 0.6, 0.1]]),
+            ("scene", "num_objects_range", [0, 10**30]),
         ],
     )
     def test_config_type_errors_name_the_key(self, tmp_path, capsys, section, key, value):
@@ -685,11 +688,37 @@ class TestAuditCommand:
         path, _ = detection_dump(tmp_path)
         out = str(tmp_path / "out")
         # 1e400 parses to infinity, which no threshold may be.
-        for flag in ("abc", "2,1", "inf", "1,inf", "1e400"):
+        for flag in ("abc", "2,1", "inf", "1,inf", "1e400", "", ","):
             assert main(["audit", "--dump", str(path), "--output-dir", out,
                          "--thresholds", flag]) == 2, flag
             err = capsys.readouterr().err
             assert "--thresholds" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["", ",", " , "])
+    def test_no_thresholds_is_a_config_error(self, tmp_path, capsys, flag):
+        path, _ = detection_dump(tmp_path)
+        out = tmp_path / "out"
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out),
+                     "--thresholds", flag]) == 2
+        err = capsys.readouterr().err
+        assert "--thresholds: at least one distance threshold is required" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_apart_centers_never_match_without_a_warning(self, tmp_path):
+        # The centers' difference overflows to an infinite distance.
+        box = {"cy": 0.0, "length": 4.0, "width": 2.0, "yaw": 0.0, "class_id": 0}
+        dump = {"scenes": [{
+            "scene_id": "a",
+            "predictions": [{"cx": 1e308, "score": 0.9, **box}],
+            "ground_truth": [{"cx": -1e308, **box}],
+        }]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dump))
+        out = tmp_path / "o"
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out)]) == 0
+        recall = json.loads((out / "recall.json").read_text())
+        assert recall["num_gt"] == 1 and set(recall["num_matched"].values()) == {0}
 
     def test_malformed_dumps(self, tmp_path):
         out = str(tmp_path / "out")
@@ -802,6 +831,7 @@ class TestReportCommand:
             (("num_gt",), True, "arms.hip.pooled.num_gt"),
             (("num_matched", "4.0"), DELETE, "arms.hip.pooled.num_matched.4.0"),
             (("num_matched", "8.0"), 3, "arms.hip.pooled.num_matched.8.0"),
+            (("per_threshold_recall",), {}, "arms.hip.pooled.per_threshold_recall"),
         ],
     )
     def test_malformed_summary_exits_3(self, tmp_path, capsys, slot, value, named):
@@ -815,6 +845,7 @@ class TestReportCommand:
         assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "matched, code, expect",
@@ -836,6 +867,15 @@ class TestReportCommand:
         else:
             err = capsys.readouterr().err
             assert expect in err and "Traceback" not in err
+
+    def test_arm_without_thresholds_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"arms": {"hip": {"pooled": {"per_threshold_recall": {}}}}}))
+        out = tmp_path / "o"
+        assert main(["report", "--summary", str(path), "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "arms.hip.pooled.per_threshold_recall: expected at least one threshold" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"
