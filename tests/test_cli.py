@@ -693,16 +693,7 @@ class TestAuditCommand:
                          "--thresholds", flag]) == 2, flag
             err = capsys.readouterr().err
             assert "--thresholds" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("flag", ["", ",", " , "])
-    def test_no_thresholds_is_a_config_error(self, tmp_path, capsys, flag):
-        path, _ = detection_dump(tmp_path)
-        out = tmp_path / "out"
-        assert main(["audit", "--dump", str(path), "--output-dir", str(out),
-                     "--thresholds", flag]) == 2
-        err = capsys.readouterr().err
         assert "--thresholds: at least one distance threshold is required" in err
-        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_far_apart_centers_never_match_without_a_warning(self, tmp_path):
@@ -854,6 +845,8 @@ class TestReportCommand:
             ({}, 0, "hip,*,1.0,0.5,6,0"),
             ({"num_matched": {"1.0": 3}}, 3, "arms.hip.pooled.num_matched.1:"),
             ({"num_matched": {}}, 3, "arms.hip.pooled.num_matched.1:"),
+            ({"per_threshold_recall": {}}, 3,
+             "arms.hip.pooled.per_threshold_recall: expected at least one threshold"),
         ],
     )
     def test_num_matched_read_by_recall_key(self, tmp_path, capsys, matched, code, expect):
@@ -867,15 +860,6 @@ class TestReportCommand:
         else:
             err = capsys.readouterr().err
             assert expect in err and "Traceback" not in err
-
-    def test_arm_without_thresholds_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "summary.json"
-        path.write_text(json.dumps({"arms": {"hip": {"pooled": {"per_threshold_recall": {}}}}}))
-        out = tmp_path / "o"
-        assert main(["report", "--summary", str(path), "--output-dir", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "arms.hip.pooled.per_threshold_recall: expected at least one threshold" in err
-        assert "Traceback" not in err and not out.exists()
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"
