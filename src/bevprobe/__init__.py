@@ -33,6 +33,7 @@ from .bev_grid import (
 from .errors import BevProbeError, ConfigError, DataError
 from .geometry import (
     BevBox,
+    BoxColumns,
     BoxPoolConfig,
     DeformSamplingConfig,
     bilinear_sample,
@@ -86,6 +87,7 @@ __all__ = [
     "BevBox",
     "BevGridSpec",
     "BevProbeError",
+    "BoxColumns",
     "BoxPoolConfig",
     "Candidate",
     "CandidateColumns",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BevBox, center_distance, rotated_iou_bev
+from .geometry import BevBox, BoxColumns, center_distance, rotated_iou_bev
 from .hip import Candidate, CandidateColumns
 
 
@@ -73,20 +73,6 @@ class StageAssignment:
     fn_gt: frozenset[int]
 
 
-def prediction_center(obj) -> tuple[float, float]:
-    """Ground-plane center of a prediction (heatmap candidate or box)."""
-    if isinstance(obj, Candidate):
-        return (obj.world_x, obj.world_y)
-    return (obj.cx, obj.cy)
-
-
-def prediction_score(obj) -> float:
-    score = obj.score
-    if score is None:
-        raise ValueError("matching requires scored predictions")
-    return float(score)
-
-
 def greedy_match_matrix(
     sigma: np.ndarray,
     pred_scores: np.ndarray,
@@ -124,23 +110,37 @@ def greedy_match_matrix(
     return pairs
 
 
+def prediction_columns(preds: Sequence) -> CandidateColumns | BoxColumns:
+    """Predictions as columns. Column types pass through; a row sequence
+    is read once, into ``CandidateColumns`` if it holds ``Candidate`` rows
+    and into ``BoxColumns`` otherwise. A mix of the two raises ValueError."""
+    if isinstance(preds, (CandidateColumns, BoxColumns)):
+        return preds
+    candidate = [isinstance(p, Candidate) for p in preds]
+    if any(candidate):
+        if not all(candidate):
+            raise ValueError("predictions must all be Candidates or all BevBoxes")
+        return CandidateColumns.of(preds)
+    return BoxColumns.of(preds)
+
+
 def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) -> np.ndarray:
     """Pairwise similarity between predictions (rows) and ground truth."""
     n_pred, n_gt = len(preds), len(gts)
     if metric is MatchMetric.CENTER_DISTANCE:
         if n_pred == 0 or n_gt == 0:
             return np.zeros((n_pred, n_gt))
+        preds, gts = prediction_columns(preds), BoxColumns.of(gts)
         if isinstance(preds, CandidateColumns):
-            px = preds.world_x.astype(np.float64, copy=False)[:, None]
-            py = preds.world_y.astype(np.float64, copy=False)[:, None]
+            px, py = preds.world_x, preds.world_y
         else:
-            pc = np.array([prediction_center(p) for p in preds], dtype=np.float64)
-            px, py = pc[:, 0:1], pc[:, 1:2]
-        gc = np.array([(g.cx, g.cy) for g in gts], dtype=np.float64)
+            px, py = preds.cx, preds.cy
+        px = px.astype(np.float64, copy=False)[:, None]
+        py = py.astype(np.float64, copy=False)[:, None]
         # Centers far apart may overflow to an infinite distance, which
         # never matches: the right answer, so no warning.
         with np.errstate(over="ignore"):
-            return np.hypot(px - gc[None, :, 0], py - gc[None, :, 1])
+            return np.hypot(px - gts.cx, py - gts.cy)
     out = np.zeros((n_pred, n_gt))
     for i, p in enumerate(preds):
         if not isinstance(p, BevBox):
@@ -160,21 +160,20 @@ def match_thresholds(
 ) -> tuple[np.ndarray, list[list[tuple[int, int, float]]]]:
     """Greedy matching of scored predictions at each threshold.
 
-    Builds the similarity matrix, scores and classes once and runs
+    Reads the predictions and ground truth into columns once, then builds
+    the similarity matrix, scores and classes and runs
     :func:`greedy_match_matrix` per threshold. Returns the prediction
     scores and, per threshold, the (gt index, pred index, sigma) pairs.
     """
+    preds, gts = prediction_columns(preds), BoxColumns.of(gts)
     sigma = sigma_matrix(preds, gts, metric)
-    if isinstance(preds, CandidateColumns):
-        scores = preds.score.astype(np.float64)
-        pred_cls = preds.class_id.astype(np.int64)
-    else:
-        scores = np.array([prediction_score(p) for p in preds], dtype=np.float64)
-        pred_cls = np.array([int(p.class_id) for p in preds], dtype=np.int64)
-    gt_cls = np.array([int(g.class_id) for g in gts], dtype=np.int64)
+    scores = preds.score.astype(np.float64)
+    if isinstance(preds, BoxColumns) and np.isnan(scores).any():
+        raise ValueError("matching requires scored predictions")
+    pred_cls = preds.class_id.astype(np.int64)
     per_threshold = [
         greedy_match_matrix(
-            sigma, scores, pred_cls, gt_cls,
+            sigma, scores, pred_cls, gts.class_id,
             eta=t,
             larger_is_better=metric is MatchMetric.ROTATED_IOU,
             class_consistent=class_consistent,
@@ -199,12 +198,13 @@ def classify_stage(
     """
     if remaining is None:
         claimable = list(range(len(gts)))
+        sub_gts = gts
     else:
         claimable = sorted(set(int(i) for i in remaining))
         for j in claimable:
             if not 0 <= j < len(gts):
                 raise ValueError(f"remaining index {j} outside the ground-truth list")
-    sub_gts = [gts[j] for j in claimable]
+        sub_gts = [gts[j] for j in claimable]
     _, (pairs,) = match_thresholds(candidates, sub_gts, (cfg.eta,), cfg.metric)
     matched = tuple((claimable[j], i, s) for j, i, s in pairs)
     tp = frozenset(p[0] for p in matched)

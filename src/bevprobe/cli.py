@@ -15,10 +15,12 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .bev_grid import load_heatmap
 from .errors import BevProbeError, ConfigError, DataError, typed
-from .geometry import BevBox
+from .geometry import BevBox, BoxColumns
 from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
     RecallConfig,
@@ -272,13 +274,46 @@ def _box_from_record(record, where: str, scored: bool) -> BevBox:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def load_detection_dump(path: Path) -> list[tuple[str, list[BevBox], list[BevBox]]]:
+_FLOAT_FIELDS = ("cx", "cy", "length", "width")
+
+
+def _box_columns(records: list, scored: bool) -> BoxColumns | None:
+    """Columns of a list of box records, or None if any record breaks a
+    rule of :func:`_box_from_record`, which then words the error."""
+    try:
+        floats = {name: [r[name] for r in records] for name in _FLOAT_FIELDS}
+        floats["yaw"] = [r.get("yaw", 0.0) for r in records]
+        class_id = [r.get("class_id", 0) for r in records]
+        if scored:
+            floats["score"] = [r["score"] for r in records]
+    except (AttributeError, KeyError, TypeError):  # a record that is no object, or lacks a field
+        return None
+    if not set(map(type, class_id)) <= {int}:
+        return None
+    arrays = {}
+    for name, values in floats.items():
+        types = set(map(type, values))
+        # Exact types: JSON true/false parse as bool, a subclass of int. An
+        # int is checked before conversion, which may round it down to the
+        # largest float.
+        if not types <= {int, float} or (int in types and not max(map(abs, values)) <= _FLOAT_MAX):
+            return None
+        arrays[name] = np.array(values, dtype=np.float64)
+        if not np.isfinite(arrays[name]).all():
+            return None
+    try:
+        return BoxColumns(**arrays, class_id=np.array(class_id, dtype=np.int64))
+    except (OverflowError, ValueError):  # class_id outside 64 bits; size or score out of range
+        return None
+
+
+def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
     """Parse and validate a detection dump file.
 
     Format: {"scenes": [{"scene_id", "predictions", "ground_truth"}]} with
     box records carrying cx, cy, length, width, yaw, class_id and (for
-    predictions) score. Problems raise DataError naming the scene and
-    record.
+    predictions) score. Each list of records is read into ``BoxColumns``
+    at once; problems raise DataError naming the scene and record.
     """
     raw = _read_json(path, "detection dump")
     if not isinstance(raw, dict) or not isinstance(raw.get("scenes"), list):
@@ -299,15 +334,17 @@ def load_detection_dump(path: Path) -> list[tuple[str, list[BevBox], list[BevBox
         gts_raw = scene.get("ground_truth")
         if not isinstance(preds_raw, list) or not isinstance(gts_raw, list):
             raise DataError(f"{where} ({scene_id}): predictions and ground_truth must be lists")
-        preds = [
-            _box_from_record(r, f"{where}.predictions[{j}] ({scene_id})", scored=True)
-            for j, r in enumerate(preds_raw)
-        ]
-        gts = [
-            _box_from_record(r, f"{where}.ground_truth[{j}] ({scene_id})", scored=False)
-            for j, r in enumerate(gts_raw)
-        ]
-        scenes.append((scene_id, preds, gts))
+        columns = []
+        for role, records, scored in (
+            ("predictions", preds_raw, True), ("ground_truth", gts_raw, False)
+        ):
+            cols = _box_columns(records, scored)
+            if cols is None:
+                for j, r in enumerate(records):
+                    _box_from_record(r, f"{where}.{role}[{j}] ({scene_id})", scored)
+                raise DataError(f"{where}.{role} ({scene_id}): invalid box records")
+            columns.append(cols)
+        scenes.append((scene_id, *columns))
     return scenes
 
 
@@ -328,6 +365,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for scene_id, preds, gts in scenes:
         reports.append(average_recall(preds, gts, recall_cfg))
         fn_by_thr = false_negative_indices(preds, gts, recall_cfg)
+        cx, cy, length, width, yaw, class_id = (
+            col.tolist() for col in (gts.cx, gts.cy, gts.length, gts.width, gts.yaw, gts.class_id)
+        )
         for t in recall_cfg.thresholds:
             inventory.append(
                 {
@@ -336,12 +376,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
                     "false_negatives": [
                         {
                             "index": j,
-                            "cx": gts[j].cx,
-                            "cy": gts[j].cy,
-                            "length": gts[j].length,
-                            "width": gts[j].width,
-                            "yaw": gts[j].yaw,
-                            "class_id": gts[j].class_id,
+                            "cx": cx[j],
+                            "cy": cy[j],
+                            "length": length[j],
+                            "width": width[j],
+                            "yaw": yaw[j],
+                            "class_id": class_id[j],
                         }
                         for j in fn_by_thr[t]
                     ],

@@ -10,10 +10,13 @@ exact for convex quads up to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .columns import RowColumns
 
 if TYPE_CHECKING:
     from .bev_grid import BevGridSpec, Heatmap
@@ -69,6 +72,60 @@ class BevBox:
         return np.array(
             [(self.cx + c * u - s * v, self.cy + s * u + c * v) for u, v in local]
         )
+
+
+_BOX_FIELDS = tuple(f.name for f in fields(BevBox))
+_BOX_DTYPES = tuple(np.int64 if name == "class_id" else np.float64 for name in _BOX_FIELDS)
+
+
+def _box_row(cx, cy, length, width, yaw, class_id, score) -> BevBox:
+    return BevBox(cx, cy, length, width, yaw, class_id, None if score != score else score)
+
+
+class BoxColumns(RowColumns):
+    """A run of boxes held as one read-only numpy array per ``BevBox``
+    field: float64 columns and an int64 ``class_id``; see
+    :class:`RowColumns`. A box without a score (ground truth) holds NaN in
+    the ``score`` column.
+
+    Construction applies ``BevBox``'s rules to every row: positive
+    footprints, scores in [0, 1], a yaw that is not infinite, wrapped into
+    (-pi, pi] exactly as :func:`normalize_yaw` does.
+    """
+
+    __slots__ = _fields = _BOX_FIELDS
+    _dtypes = _BOX_DTYPES
+    _row = staticmethod(_box_row)
+    _noun = "boxes"
+
+    def __init__(self, cx, cy, length, width, yaw, class_id, score=None) -> None:
+        if score is None:
+            score = np.full(len(cx), np.nan)
+        super().__init__(cx, cy, length, width, yaw, class_id, score, dtypes=_BOX_DTYPES)
+        sized = (self.length > 0.0) & (self.width > 0.0)
+        if not sized.all():
+            i = int(np.argmin(sized))
+            raise ValueError(
+                f"box footprint must be positive, got {self.length[i]} x {self.width[i]}"
+            )
+        s = self.score
+        scored = np.isnan(s) | ((0.0 <= s) & (s <= 1.0))
+        if not scored.all():
+            raise ValueError(f"score must lie in [0, 1], got {s[int(np.argmin(scored))]}")
+        infinite = np.isinf(self.yaw)
+        if infinite.any():
+            normalize_yaw(float(self.yaw[infinite][0]))  # raises the error a BevBox would
+        # normalize_yaw over the column: the same fmod and the same branches.
+        y = np.fmod(self.yaw, _TWO_PI)
+        y = np.where(y <= -math.pi, y + _TWO_PI, np.where(y > math.pi, y - _TWO_PI, y))
+        y.setflags(write=False)
+        self.yaw = y
+
+    @staticmethod
+    def _getter(name: str):
+        if name == "score":
+            return lambda box: np.nan if box.score is None else box.score
+        return attrgetter(name)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .bev_grid import BevGridSpec, Heatmap, read_grid_tensor, write_grid_tensor
+from .columns import RowColumns
 from .errors import BevProbeError, DataError, from_json
 from .geometry import BevBox
 
@@ -86,69 +86,23 @@ _JSONL_FIELDS = ("stage", "x", "y", "class_id", "score", "world_x", "world_y")
 _JSONL_TEMPLATE = '"stage":%d,"x":%d,"y":%d,"class_id":%d,"score":%r,"world_x":%r,"world_y":%r}\n'
 
 
-class CandidateColumns(Sequence[Candidate]):
+class CandidateColumns(RowColumns):
     """A run of candidates held as one read-only numpy array per
-    ``Candidate`` field.
+    ``Candidate`` field; see :class:`RowColumns`."""
 
-    Indexing and iteration build ``Candidate`` rows whose fields are
-    Python ints and floats; a slice stays columnar. Two instances are
-    equal when every column holds the same values. Pickling ships the
-    arrays.
-    """
-
-    __slots__ = _FIELDS
-    __hash__ = None
+    __slots__ = _fields = _FIELDS
+    _dtypes = _ROW_DTYPES
+    _row = Candidate
+    _noun = "candidates"
 
     def __init__(self, x, y, class_id, score, stage, world_x, world_y) -> None:
-        n = len(x)
-        for name, col in zip(_FIELDS, (x, y, class_id, score, stage, world_x, world_y)):
-            arr = np.asarray(col).view()
-            if arr.shape != (n,):
-                raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
-            arr.setflags(write=False)
-            setattr(self, name, arr)
-
-    @classmethod
-    def of(cls, candidates: Sequence[Candidate]) -> "CandidateColumns":
-        """Columns of ``candidates``; an instance of this class is returned as is."""
-        if isinstance(candidates, cls):
-            return candidates
-        n = len(candidates)
-        return cls(*(
-            np.fromiter(map(attrgetter(f), candidates), dtype, n)
-            for f, dtype in zip(_FIELDS, _ROW_DTYPES)
-        ))
+        super().__init__(x, y, class_id, score, stage, world_x, world_y)
 
     @classmethod
     def concat(cls, parts: Sequence["CandidateColumns"]) -> "CandidateColumns":
         if not parts:
             return cls.of(())
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS))
-
-    def rows(self) -> tuple[Candidate, ...]:
-        return tuple(map(Candidate, *(getattr(self, f).tolist() for f in _FIELDS)))
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return CandidateColumns(*(getattr(self, f)[index] for f in _FIELDS))
-        return Candidate(*(getattr(self, f)[index].item() for f in _FIELDS))
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CandidateColumns):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
-
-    def __reduce__(self):
-        return (CandidateColumns, tuple(getattr(self, f) for f in _FIELDS))
-
-    def __repr__(self) -> str:
-        return f"CandidateColumns(<{len(self)} candidates>)"
 
     def to_jsonl(self, scene_id: str | None = None) -> str:
         """One compact JSON object per line, in candidate order, led by a
@@ -333,6 +287,34 @@ def _rasterize_boxes(
         start = stop
 
 
+def _window_hits(marks: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """Whether a mark lies within ``half`` cells along ``axis``, with the
+    window clipped to the array.
+
+    With ``half`` empty cells padded at each end, the window centred on
+    cell i is the run of ``2 * half + 1`` padded cells from i. Each step
+    ORs the array with itself shifted by at most the run already covered,
+    so the run doubles, the array shrinks by the shift, and the cost grows
+    with the log of the clipped half-width.
+    """
+    n = marks.shape[axis]
+    half = min(half, n - 1)
+
+    def cut(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    shape = list(marks.shape)
+    shape[axis] += 2 * half
+    reach = np.zeros(shape, dtype=marks.dtype)
+    reach[cut(half, half + n)] = marks
+    span = 1
+    while span < 2 * half + 1:
+        step = min(span, 2 * half + 1 - span)
+        reach = reach[cut(None, -step)] | reach[cut(step, None)]
+        span += step
+    return reach
+
+
 def build_positive_mask(
     candidates: Sequence[Candidate],
     cfg: HipConfig,
@@ -348,7 +330,8 @@ def build_positive_mask(
     """
     cols = CandidateColumns.of(candidates)
     n = len(cols)
-    cls, ys, xs = index = (cols.class_id, cols.y, cols.x)
+    cls = cols.class_id
+    index = (cls, cols.y, cols.x)
     try:
         cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
     except ValueError:
@@ -361,13 +344,11 @@ def build_positive_mask(
         wide = np.ones(n, dtype=bool)
         for c in cfg.small_classes:
             wide &= cls != c
-        cls, ys, xs = cls[wide], ys[wide], xs[wide]
-        # Offsets clipped onto the grid land on cells inside the clipped
-        # window; rows and columns broadcast to every k x k cell at once.
-        offsets = np.arange(cfg.pooling_kernel)[:, None] - cfg.pooling_kernel // 2
-        rows = np.clip(ys + offsets, 0, spec.size_y - 1)
-        cols = np.clip(xs + offsets, 0, spec.size_x - 1)
-        bits[cls, rows[:, None], cols[None, :]] = 1
+        # A box filter over each class plane that holds a wide candidate,
+        # whose only set bits are those centers.
+        planes = np.flatnonzero(np.bincount(cls[wide]))
+        half = cfg.pooling_kernel // 2
+        bits[planes] = _window_hits(_window_hits(bits[planes], half, 2), half, 1)
     elif cfg.mask_type is MaskType.BOX:
         if boxes is None:
             raise ValueError("box masking requires a predicted box per candidate")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import match_thresholds
-from .geometry import BevBox
+from .geometry import BevBox, BoxColumns
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def average_recall(
     thresholds = cfg.thresholds
     if len(gts) == 0:
         return RecallReport(0, len(preds), {t: 0 for t in thresholds})
-    gt_cls = [int(g.class_id) for g in gts]
+    gts = BoxColumns.of(gts)
+    gt_cls = gts.class_id.tolist()
     classes = sorted(set(gt_cls))
     _, per_threshold_pairs = match_thresholds(
         preds, gts, thresholds, class_consistent=not cfg.class_agnostic

@@ -28,7 +28,7 @@ from .bev_grid import (
     BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, gaussian_radius, radius_for_box,
 )
 from .errors import ConfigError, DataError, from_json
-from .geometry import BevBox
+from .geometry import BevBox, BoxColumns
 from .hip import CandidateColumns, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
 
@@ -182,6 +182,12 @@ class SyntheticScene:
         cells = np.array([(p.class_id, p.y, p.x) for p in self.clutter], dtype=np.intp)
         amplitudes = np.array([p.amplitude for p in self.clutter], dtype=np.float64)
         return tuple(cells.reshape(-1, 3).T), amplitudes
+
+    @cached_property
+    def gt_columns(self) -> BoxColumns:
+        """The ground truth as columns, read once per scene for every
+        stage classification and recall report; not a field either."""
+        return BoxColumns.of(self.gts)
 
 
 class _RawStream:
@@ -484,7 +490,7 @@ def _run_arm(
         if stage == 0:
             detected: frozenset[int] = frozenset()
         else:
-            detected = frozenset(classify_stage(collected, scene.gts, detect_cfg).tp_gt)
+            detected = frozenset(classify_stage(collected, scene.gt_columns, detect_cfg).tp_gt)
         return oracle_stage_heatmap(scene, stage, detected, model, spec, setup.render_cfg)
 
     result = run_hip(source, cfg, spec)
@@ -505,7 +511,7 @@ def _run_scene(setup: ExperimentSetup, index: int, seed: int) -> SceneOutcome:
         cands, degen = _run_arm(scene, cfg, setup)
         candidates[arm] = cands
         degenerate[arm] = degen
-        reports[arm] = average_recall(cands, scene.gts, setup.recall_cfg)
+        reports[arm] = average_recall(cands, scene.gt_columns, setup.recall_cfg)
     delta = reports[ARM_PROBE].mean_average_recall - reports[ARM_BASELINE].mean_average_recall
     return SceneOutcome(
         scene_id=f"scene_{index:04d}",

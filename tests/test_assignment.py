@@ -16,12 +16,12 @@ from bevprobe.assignment import (
     greedy_match_matrix,
     hard_instance_targets,
     hungarian_assign,
-    prediction_center,
-    prediction_score,
+    match_thresholds,
+    prediction_columns,
     sigma_matrix,
 )
-from bevprobe.geometry import BevBox
-from bevprobe.hip import Candidate
+from bevprobe.geometry import BevBox, BoxColumns
+from bevprobe.hip import Candidate, CandidateColumns
 
 RNG = np.random.default_rng
 
@@ -97,17 +97,30 @@ class TestConfigs:
             AssignmentConfig(gate_distance=0.0)
 
 
-class TestPredictionAccessors:
+class TestPredictionColumns:
     def test_candidate_center_is_world(self):
         c = Candidate(3, 4, 0, 0.9, 0, 1.5, 2.5)
-        assert prediction_center(c) == (1.5, 2.5)
+        cols = prediction_columns([c])
+        assert isinstance(cols, CandidateColumns) and cols.rows() == (c,)
+        assert sigma_matrix([c], [gt(1.5, 2.5)], MatchMetric.CENTER_DISTANCE)[0, 0] == 0.0
 
     def test_box_center(self):
-        assert prediction_center(pred(7.0, -2.0)) == (7.0, -2.0)
+        cols = prediction_columns([pred(7.0, -2.0)])
+        assert isinstance(cols, BoxColumns) and list(cols) == [pred(7.0, -2.0)]
+        assert prediction_columns(cols) is cols
+        assert sigma_matrix(cols, [gt(7.0, -2.0)], MatchMetric.CENTER_DISTANCE)[0, 0] == 0.0
+
+    def test_mixed_rows_rejected(self):
+        c = Candidate(3, 4, 0, 0.9, 0, 1.5, 2.5)
+        for preds in ([c, pred(7.0, -2.0)], [pred(7.0, -2.0), c]):
+            with pytest.raises(ValueError, match="must all be Candidates or all BevBoxes"):
+                prediction_columns(preds)
 
     def test_unscored_prediction_rejected(self):
-        with pytest.raises(ValueError, match="scored"):
-            prediction_score(BevBox(0, 0, 4, 2, 0.0, 0))
+        unscored = BevBox(0, 0, 4, 2, 0.0, 0)
+        for preds in ([unscored], BoxColumns.of([unscored, pred(1.0, 0.0)])):
+            with pytest.raises(ValueError, match="scored"):
+                match_thresholds(preds, [gt(0, 0)], (1.0,))
 
 
 class TestClassifyStage:

@@ -299,6 +299,22 @@ class TestProbeCommand:
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.candidates
 
+    def test_huge_pooling_kernel_equals_grid_spanning_one(self, tmp_path):
+        spec, paths, _ = stage_files(tmp_path)
+        spanning = 2 * max(spec.size_y, spec.size_x) + 1
+        outs = {}
+        for kernel in (1000000001, spanning):
+            outs[kernel] = tmp_path / f"out_{kernel}"
+            assert main([
+                "probe", "--stage", paths[0], "--stage", paths[1],
+                "--output-dir", str(outs[kernel]), "--k-per-stage", "3,5",
+                "--mask-type", "pooling", "--pooling-kernel", str(kernel),
+            ]) == 0
+        assert digest_dir(outs[1000000001]) == digest_dir(outs[spanning])
+        # Such a window covers the whole plane of each selected class.
+        stage0 = load_accumulated_mask(outs[spanning] / "mask_stage_0.bevgrid").bits
+        assert stage0.any() and all(plane.all() or not plane.any() for plane in stage0)
+
     def test_box_mode_with_fixed_footprint(self, tmp_path):
         spec, paths, maps = stage_files(tmp_path)
         out = tmp_path / "out"
@@ -647,7 +663,10 @@ class TestAuditCommand:
         assert [fn["index"] for fn in by_key[("a", 1.0)]] == [1]
         assert [fn["index"] for fn in by_key[("a", 4.0)]] == [1]
         # Scene b: the 1.5 m offset pred matches only at 2 m and up.
-        assert [fn["index"] for fn in by_key[("b", 1.0)]] == [0]
+        assert by_key[("b", 1.0)] == [{
+            "index": 0, "cx": 5.0, "cy": 0.0, "length": 0.8, "width": 0.6, "yaw": 0.1,
+            "class_id": 1,
+        }]
         assert by_key[("b", 2.0)] == []
         svg = (out / "classwise_recall.svg").read_text()
         assert svg.startswith("<svg") and "rect" in svg
@@ -769,6 +788,17 @@ class TestAuditCommand:
         assert f"scenes[1].{role}[0] (b)" in err
         assert repr(field) in err
         assert "Traceback" not in err
+
+    def test_dump_without_ground_truth_writes_no_chart(self, tmp_path):
+        dump = {"scenes": [{"scene_id": "a", "ground_truth": [], "predictions": [
+            {"cx": 0.0, "cy": 0.0, "length": 1.0, "width": 1.0, "score": 0.5},
+        ]}]}
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(dump))
+        out = tmp_path / "o"
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {"recall.csv", "recall.json", "fn_inventory.json"}
+        assert json.loads((out / "recall.json").read_text())["empty_gt"] is True
 
     def test_integer_coordinates_print_as_floats(self, tmp_path):
         _, dump = detection_dump(tmp_path)
@@ -904,6 +934,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_module_audit_matches_in_process_run(self, tmp_path):
+        # The benchmark runs `python -m bevprobe.cli`; tests call main().
+        path, _ = detection_dump(tmp_path)
+        assert main(["audit", "--dump", str(path), "--output-dir", str(tmp_path / "lib")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "bevprobe.cli", "audit", "--dump", str(path),
+             "--output-dir", str(tmp_path / "module")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lib = digest_dir(tmp_path / "lib")
+        assert len(lib) == 4 and digest_dir(tmp_path / "module") == lib
 
     def test_console_script_help(self):
         import shutil

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from bevprobe.bev_grid import BevGridSpec, Heatmap
 from bevprobe.geometry import (
     BevBox,
+    BoxColumns,
     BoxPoolConfig,
     DeformSamplingConfig,
     bilinear_sample,
@@ -111,6 +113,64 @@ class TestBevBox:
         expect = {(3.0, 3.0), (-1.0, 3.0), (-1.0, 1.0), (3.0, 1.0)}
         got = {(round(x, 9), round(y, 9)) for x, y in box.corners()}
         assert got == expect
+
+
+yaw_values = st.one_of(
+    st.sampled_from([math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, -0.0, 1e300]),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestBoxColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        yaws=st.lists(yaw_values, max_size=8),
+        scored=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows_equal_boxes_built_one_by_one(self, yaws, scored, data):
+        n = len(yaws)
+        cx = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        size = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+        cls = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+        score = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)) if scored else None
+        boxes = [
+            BevBox(x, -x, s, 2 * s, y, c, None if score is None else score[i])
+            for i, (x, s, y, c) in enumerate(zip(cx, size, yaws, cls))
+        ]
+
+        cols = BoxColumns(cx, [-x for x in cx], size, [2 * s for s in size], yaws, cls, score)
+
+        assert repr(cols.rows()) == repr(tuple(boxes))
+        assert repr([cols[i] for i in range(-n, n)]) == repr(boxes + boxes)
+        assert BoxColumns.of(boxes) == cols and BoxColumns.of(cols) is cols
+        assert cols[1:3] == BoxColumns.of(boxes[1:3]) and len(cols) == n
+        assert cols.yaw.tolist() == [normalize_yaw(float(y)) for y in yaws]
+
+    def test_columns_are_read_only_and_inputs_stay_writable(self):
+        cx = np.array([0.0, 1.0])
+        cols = BoxColumns(cx, [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 9.0], [0, 1])
+        assert cx.flags.writeable
+        for name in ("cx", "cy", "length", "width", "yaw", "class_id", "score"):
+            with pytest.raises(ValueError):
+                getattr(cols, name)[...] = 0
+        assert cols.class_id.dtype == np.int64 and np.isnan(cols.score).all()
+
+    @pytest.mark.parametrize(
+        "row",
+        [(0.0, 0.0, 0.0, 1.0, 0.0, 0, None), (0.0, 0.0, 1.0, -2.0, 0.0, 0, None),
+         (0.0, 0.0, 1.0, 1.0, 0.0, 0, 1.5), (0.0, 0.0, 1.0, 1.0, 0.0, 0, -0.1),
+         (0.0, 0.0, 1.0, 1.0, math.inf, 0, None), (0.0, 0.0, 1.0, 1.0, -math.inf, 0, 0.5)],
+    )
+    def test_rejects_rows_a_box_rejects(self, row):
+        with pytest.raises(ValueError) as box_error:
+            BevBox(*row)
+        good = (0.0, 0.0, 1.0, 1.0, 0.0, 0, 0.5 if row[-1] is not None else None)
+        columns = [list(c) for c in zip(good, row)]
+        if row[-1] is None:
+            columns[-1] = None
+        with pytest.raises(ValueError, match=re.escape(str(box_error.value))):
+            BoxColumns(*columns)
 
 
 class TestCenterDistance:

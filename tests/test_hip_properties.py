@@ -265,7 +265,10 @@ class TestMaskProperties:
             k_per_stage=(1,),
             mask_type=mode,
             small_classes=data.draw(st.frozensets(st.integers(0, spec.num_classes - 1))),
-            pooling_kernel=data.draw(st.sampled_from([1, 3, 5, 7])),
+            # Kernels past the grid's extent cover the same clipped cells.
+            pooling_kernel=data.draw(st.sampled_from(
+                [1, 3, 5, 7, 2 * max(spec.size_y, spec.size_x) + 1, 10**9 + 1]
+            )),
         )
         n = data.draw(st.integers(0, 12))
         candidates, boxes = [], []
