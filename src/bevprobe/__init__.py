@@ -44,7 +44,6 @@ from .geometry import (
     rotated_iou_bev,
 )
 from .hip import (
-    AccumulatedPositiveMask,
     Candidate,
     CandidateColumns,
     HipConfig,
@@ -81,7 +80,6 @@ from .sim import (
 )
 
 __all__ = [
-    "AccumulatedPositiveMask",
     "ApResult",
     "AssignmentConfig",
     "BevBox",

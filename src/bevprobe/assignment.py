@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BevBox, BoxColumns, center_distance, rotated_iou_bev
+from .geometry import BevBox, BoxColumns, rotated_iou_bev
 from .hip import Candidate, CandidateColumns
 
 

@@ -30,7 +30,6 @@ from .metrics import (
     recall_report_rows,
     recall_report_to_dict,
     write_recall_csv,
-    write_recall_json,
 )
 from .sim import (
     ARM_BASELINE, ARM_PROBE, experiment_from_config, run_experiment, scene_for_seed, scene_to_dict,
@@ -47,6 +46,16 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _output_dir(args: argparse.Namespace) -> Path:
+    """Create ``--output-dir``; a path that cannot be a directory is a config error."""
+    out = Path(args.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output-dir: cannot create {out}: {exc}") from exc
+    return out
 
 
 def _read_json(path: Path, what: str, err=DataError) -> dict:
@@ -118,8 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _read_json(Path(args.config), "experiment config", err=ConfigError)
     setup = experiment_from_config(cfg)
     result = run_experiment(setup, jobs=args.jobs)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
 
     per_scene = []
     for outcome in result.scenes:
@@ -154,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for arm in (ARM_PROBE, ARM_BASELINE):
         pooled = result.arms[arm].pooled
         write_recall_csv(out / f"recall_{arm}.csv", recall_report_rows(pooled, scope=arm))
-        write_recall_json(out / f"recall_{arm}.json", pooled)
+        _write_json(out / f"recall_{arm}.json", recall_report_to_dict(pooled))
         _write_text(
             out / f"candidates_{arm}.jsonl",
             "".join(o.candidates[arm].to_jsonl(o.scene_id) for o in result.scenes),
@@ -233,8 +241,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
             ]
 
     result = run_hip(heatmaps, cfg, spec, box_provider=box_provider)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     _write_text(out / "candidates.jsonl", result.columns.to_jsonl())
     for trace in result.traces:
         save_mask(out / f"mask_stage_{trace.stage}.bevgrid", trace.positive_mask)
@@ -243,68 +250,46 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _box_from_record(record, where: str, scored: bool) -> BevBox:
-    if not isinstance(record, dict):
-        raise DataError(f"{where}: expected an object, got {type(record).__name__}")
-    try:
-        kwargs = {
-            "cx": record["cx"],
-            "cy": record["cy"],
-            "length": record["length"],
-            "width": record["width"],
-            "yaw": record.get("yaw", 0.0),
-        }
-        if scored:
-            kwargs["score"] = record["score"]
-    except KeyError as exc:
-        raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
-    for name, value in kwargs.items():
-        # Exact types: JSON true/false parse as bool, a subclass of int.
-        if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
-            raise DataError(f"{where}: field {name!r} must be a finite number, got {value!r}")
-        kwargs[name] = float(value)
-    class_id = record.get("class_id", 0)
-    if type(class_id) is not int or not -(2**63) <= class_id < 2**63:
-        raise DataError(f"{where}: field 'class_id' must be a 64-bit integer, got {class_id!r}")
-    try:
-        return BevBox(**kwargs, class_id=class_id)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from exc
-
-
 _FLOAT_FIELDS = ("cx", "cy", "length", "width")
 
 
-def _box_columns(records: list, scored: bool) -> BoxColumns | None:
-    """Columns of a list of box records, or None if any record breaks a
-    rule of :func:`_box_from_record`, which then words the error."""
+def _box_columns(records: list, scored: bool) -> BoxColumns:
+    """Columns of a list of box records.
+
+    A record that breaks a rule raises DataError; the rules run in the
+    order a single record meets them (an object; cx, cy, length, width
+    and score present; finite numbers; a 64-bit class_id; a positive
+    footprint; a score in [0, 1]) and the message is worded for
+    ``records[0]``, so it is exact for a one-record list.
+    """
     try:
         floats = {name: [r[name] for r in records] for name in _FLOAT_FIELDS}
         floats["yaw"] = [r.get("yaw", 0.0) for r in records]
         class_id = [r.get("class_id", 0) for r in records]
         if scored:
             floats["score"] = [r["score"] for r in records]
-    except (AttributeError, KeyError, TypeError):  # a record that is no object, or lacks a field
-        return None
-    if not set(map(type, class_id)) <= {int}:
-        return None
+    except KeyError as exc:
+        raise DataError(f"missing field {exc.args[0]!r}") from None
+    except TypeError:  # a record that is no object
+        raise DataError(f"expected an object, got {type(records[0]).__name__}") from None
     arrays = {}
     for name, values in floats.items():
         types = set(map(type, values))
         # Exact types: JSON true/false parse as bool, a subclass of int. An
         # int is checked before conversion, which may round it down to the
         # largest float.
-        if not types <= {int, float} or (int in types and not max(map(abs, values)) <= _FLOAT_MAX):
-            return None
-        arrays[name] = np.array(values, dtype=np.float64)
-        if not np.isfinite(arrays[name]).all():
-            return None
+        if types <= {int, float} and (int not in types or max(map(abs, values)) <= _FLOAT_MAX):
+            arrays[name] = np.array(values, dtype=np.float64)
+            if np.isfinite(arrays[name]).all():
+                continue
+        raise DataError(f"field {name!r} must be a finite number, got {values[0]!r}")
+    if not (set(map(type, class_id)) <= {int}
+            and -(2**63) <= min(class_id, default=0) and max(class_id, default=0) < 2**63):
+        raise DataError(f"field 'class_id' must be a 64-bit integer, got {class_id[0]!r}")
     try:
         return BoxColumns(**arrays, class_id=np.array(class_id, dtype=np.int64))
-    except (OverflowError, ValueError):  # class_id outside 64 bits; size or score out of range
-        return None
+    except ValueError as exc:  # a footprint or score out of range
+        raise DataError(str(exc)) from None
 
 
 def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
@@ -338,12 +323,16 @@ def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
         for role, records, scored in (
             ("predictions", preds_raw, True), ("ground_truth", gts_raw, False)
         ):
-            cols = _box_columns(records, scored)
-            if cols is None:
+            try:
+                columns.append(_box_columns(records, scored))
+            except DataError:
+                # Read the list again one record at a time to name the first bad one.
                 for j, r in enumerate(records):
-                    _box_from_record(r, f"{where}.{role}[{j}] ({scene_id})", scored)
-                raise DataError(f"{where}.{role} ({scene_id}): invalid box records")
-            columns.append(cols)
+                    try:
+                        _box_columns([r], scored)
+                    except DataError as exc:
+                        raise DataError(f"{where}.{role}[{j}] ({scene_id}): {exc}") from None
+                raise
         scenes.append((scene_id, *columns))
     return scenes
 
@@ -388,10 +377,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 }
             )
     pooled = merge_reports(reports, recall_cfg)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     write_recall_csv(out / "recall.csv", recall_report_rows(pooled, scope="overall"))
-    write_recall_json(out / "recall.json", pooled)
+    _write_json(out / "recall.json", recall_report_to_dict(pooled))
     _write_json(out / "fn_inventory.json", inventory)
 
     classes = sorted(pooled.per_class_recall)
@@ -452,8 +440,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                     "num_matched": num_matched,
                 }
             )
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     _write_recall_curve(out, series)
     write_recall_csv(out / "recall_summary.csv", rows)
     return 0

@@ -36,19 +36,15 @@ class RowColumns(Sequence):
             arr.setflags(write=False)
             setattr(self, name, arr)
 
-    @staticmethod
-    def _getter(name: str):
-        """How :meth:`of` reads field ``name`` from a row."""
-        return attrgetter(name)
-
     @classmethod
     def of(cls, rows: Sequence):
-        """Columns of ``rows``; an instance of this class is returned as is."""
+        """Columns of ``rows``; an instance of this class is returned as is.
+        A ``None`` field reads as NaN in a float column."""
         if isinstance(rows, cls):
             return rows
         n = len(rows)
         return cls(*(
-            np.fromiter(map(cls._getter(f), rows), dtype, n)
+            np.fromiter(map(attrgetter(f), rows), dtype, n)
             for f, dtype in zip(cls._fields, cls._dtypes)
         ))
 

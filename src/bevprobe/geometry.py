@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -120,12 +119,6 @@ class BoxColumns(RowColumns):
         y = np.where(y <= -math.pi, y + _TWO_PI, np.where(y > math.pi, y - _TWO_PI, y))
         y.setflags(write=False)
         self.yaw = y
-
-    @staticmethod
-    def _getter(name: str):
-        if name == "score":
-            return lambda box: np.nan if box.score is None else box.score
-        return attrgetter(name)
 
 
 @dataclass(frozen=True)

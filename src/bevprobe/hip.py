@@ -150,18 +150,10 @@ class PositiveMask:
         return cls(spec, np.zeros(spec.shape, dtype=np.uint8))
 
 
-# A union of stage masks is a PositiveMask too; the older name stays importable.
-AccumulatedPositiveMask = PositiveMask
-
-
 @dataclass(frozen=True)
 class TopKResult:
     columns: CandidateColumns
     degenerate: bool
-
-    @property
-    def candidates(self) -> tuple[Candidate, ...]:
-        return self.columns.rows()
 
 
 def topk_select(
@@ -388,10 +380,6 @@ class StageTrace:
     accumulated_mask: PositiveMask
     degenerate: bool
 
-    @property
-    def candidates(self) -> tuple[Candidate, ...]:
-        return self.columns.rows()
-
 
 @dataclass(frozen=True)
 class HipResult:
@@ -399,10 +387,6 @@ class HipResult:
     accumulated_mask: PositiveMask
     traces: tuple[StageTrace, ...]
     degenerate: bool
-
-    @property
-    def candidates(self) -> tuple[Candidate, ...]:
-        return self.columns.rows()
 
 
 def run_hip(
@@ -471,18 +455,8 @@ def run_hip(
     )
 
 
-def candidate_from_dict(d: dict) -> Candidate:
-    return from_json(Candidate, d, "candidate", err=DataError)
-
-
 # The encoder json.dumps(obj, separators=(",", ":")) builds on every call.
 encode_compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def candidates_to_jsonl(candidates: Sequence[Candidate]) -> str:
-    """One compact JSON object per line, in candidate order; see
-    :meth:`CandidateColumns.to_jsonl`."""
-    return CandidateColumns.of(candidates).to_jsonl()
 
 
 def candidates_from_jsonl(text: str) -> list[Candidate]:

@@ -10,7 +10,6 @@ precision-recall curve.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -293,9 +292,3 @@ def recall_report_to_dict(report: RecallReport) -> dict:
         },
         "empty_gt": report.empty_gt,
     }
-
-
-def write_recall_json(path: str | os.PathLike, report: RecallReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(recall_report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")

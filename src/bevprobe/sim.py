@@ -37,6 +37,8 @@ _MIN_BOX_SIDE = 0.05  # meters; a drawn length or width is floored here
 # Scene generation holds a boolean table and each render a float64 canvas
 # of the grid's full size, so a simulated grid has at most 2**24 cells.
 MAX_SCENE_CELLS = 1 << 24
+# simulate holds every scene's seed and outcome at once.
+MAX_SCENES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -379,6 +381,10 @@ def oracle_stage_heatmap(
         i, peak = next((i, p) for i, p in enumerate(scene.clutter) if not (
             0 <= p.class_id < spec.num_classes and spec.contains_cell(p.x, p.y)))
         raise ValueError(f"clutter peak {i} {peak} lies outside grid {spec.shape}") from None
+    try:
+        gain = model.stage_gain ** stage
+    except OverflowError:  # amplitudes are capped at 1, so this gain saturates them
+        gain = math.inf
     canvas = np.zeros(spec.shape, dtype=np.float64)
     for i, gt in enumerate(scene.gts):
         if not 0 <= gt.class_id < spec.num_classes:
@@ -386,8 +392,8 @@ def oracle_stage_heatmap(
                 f"ground truth {i} has class_id {gt.class_id} outside [0, {spec.num_classes})"
             )
         amp = scene.amplitudes[i]
-        if i not in detected_so_far:
-            amp = min(1.0, amp * model.stage_gain ** stage)
+        if i not in detected_so_far and amp:  # a zero amplitude stays 0 at any gain
+            amp = min(1.0, amp * gain)
         gx, gy = spec.world_to_grid((gt.cx, gt.cy))
         radius = radius_for_box(gt, spec, render_cfg)
         draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
@@ -428,6 +434,10 @@ class ExperimentSetup:
     def __post_init__(self) -> None:
         if self.num_scenes < 1:
             raise ValueError("num_scenes must be at least 1")
+        if self.num_scenes > MAX_SCENES:
+            raise ValueError(
+                f"num_scenes is {self.num_scenes}, above the simulator's ceiling of {MAX_SCENES}"
+            )
         # Each splat builds a (2r+1)^2 kernel. Bound r by the class's largest
         # box, plus one cell: gaussian_radius is monotone only up to rounding.
         spec, render = self.params.spec, self.render_cfg

@@ -28,7 +28,6 @@ from bevprobe.geometry import (
     rotated_iou_bev,
 )
 from bevprobe.hip import (
-    AccumulatedPositiveMask,
     HipConfig,
     MaskType,
     PositiveMask,
@@ -208,11 +207,11 @@ def test_criterion_01_staged_exclusion_never_reselects_masked_cells():
             result = run_hip(stages, cfg, spec, box_provider=provider)
             prev_bits = np.zeros(spec.shape, dtype=np.uint8)
             for trace in result.traces:
-                for cand in trace.candidates:
+                for cand in trace.columns.rows():
                     assert prev_bits[cand.class_id, cand.y, cand.x] == 0
                 prev_bits = trace.accumulated_mask.bits
             if mode is MaskType.POINT:
-                triples = [(c.class_id, c.y, c.x) for c in result.candidates]
+                triples = [(c.class_id, c.y, c.x) for c in result.columns.rows()]
                 assert len(triples) == len(set(triples))
             runs += 1
         elapsed = time.perf_counter() - t0
@@ -230,7 +229,7 @@ def test_criterion_02_masking_algebra_is_exact():
             )
             values = rng.random(spec.shape, dtype=np.float32)
             heatmap = Heatmap(spec, values)
-            acc = AccumulatedPositiveMask.zeros(spec)
+            acc = PositiveMask.zeros(spec)
             reference = np.zeros(spec.shape, dtype=np.uint8)
             for _stage in range(int(rng.integers(1, 4))):
                 bits = (rng.random(spec.shape) < 0.2).astype(np.uint8)
@@ -275,7 +274,7 @@ def test_criterion_04_topk_matches_full_sort():
             k = int(rng.integers(1, values.size + 1))
             got = topk_select(Heatmap(spec, values), None, k)
             want = full_sort_topk(values, k)
-            assert [(c.class_id, c.y, c.x, c.score) for c in got.candidates] == want
+            assert [(c.class_id, c.y, c.x, c.score) for c in got.columns.rows()] == want
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"top-k comparison took {elapsed:.1f}s"
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from bevprobe.hip import (
     run_hip,
 )
 from bevprobe.metrics import RecallConfig, average_recall, merge_reports, recall_report_to_dict
-from bevprobe.sim import experiment_from_config, run_experiment, scene_from_dict
+from bevprobe.sim import MAX_SCENES, experiment_from_config, run_experiment, scene_from_dict
 
 RNG = np.random.default_rng
 
@@ -241,6 +242,30 @@ class TestSimulateCommand:
         assert "grid.num_classes * grid.size_y * grid.size_x" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
+    def test_too_many_scenes_exits_2_before_allocating(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg["num_scenes"] = 10**12
+        cfg_path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert "num_scenes" in err and str(MAX_SCENES) in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_overflowing_stage_gain_saturates(self, tmp_path):
+        cfg = json.loads(resources.files("bevprobe").joinpath("configs/reference.json").read_text())
+        cfg["num_scenes"] = 1
+        cfg["detectability"]["stage_gain"] = 1e200
+        cfg["hip"]["k_per_stage"] = [1, 1, 1]
+        cfg["baseline"]["k_per_stage"] = [3]
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("arm", ["hip", "baseline"])
     def test_box_mask_rejected_at_parse_time(self, tmp_path, capsys, arm):
         cfg = tiny_config()
@@ -278,7 +303,7 @@ class TestProbeCommand:
         assert code == 0
         expected = run_hip(maps, HipConfig(2, (4, 4), MaskType.POINT), spec)
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
-        assert tuple(got) == expected.candidates
+        assert tuple(got) == expected.columns.rows()
         acc = load_accumulated_mask(out / "mask_accumulated.bevgrid")
         np.testing.assert_array_equal(acc.bits, expected.accumulated_mask.bits)
         for trace in expected.traces:
@@ -297,7 +322,7 @@ class TestProbeCommand:
         cfg = HipConfig(2, (3, 5), MaskType.POOLING, frozenset({1}), 3)
         expected = run_hip(maps, cfg, spec)
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
-        assert tuple(got) == expected.candidates
+        assert tuple(got) == expected.columns.rows()
 
     def test_huge_pooling_kernel_equals_grid_spanning_one(self, tmp_path):
         spec, paths, _ = stage_files(tmp_path)
@@ -332,7 +357,7 @@ class TestProbeCommand:
             maps, HipConfig(2, (3, 3), MaskType.BOX), spec, box_provider=provider
         )
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
-        assert tuple(got) == expected.candidates
+        assert tuple(got) == expected.columns.rows()
         acc = load_accumulated_mask(out / "mask_accumulated.bevgrid")
         np.testing.assert_array_equal(acc.bits, expected.accumulated_mask.bits)
 
@@ -651,7 +676,9 @@ class TestAuditCommand:
         pooled = merge_reports(
             [average_recall(p, g, cfg) for p, g in dump_boxes(dump)], cfg
         )
-        assert json.loads((out / "recall.json").read_text()) == recall_report_to_dict(pooled)
+        raw = (out / "recall.json").read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
+        assert json.loads(raw) == recall_report_to_dict(pooled)
         csv_text = (out / "recall.csv").read_text()
         assert csv_text.splitlines()[0] == "scope,class,threshold,recall,num_gt,num_matched"
         assert csv_text.splitlines()[1].startswith("overall,*,0.5,")
@@ -901,6 +928,29 @@ class TestReportCommand:
             "report", "--summary", str(tmp_path / "nope.json"),
             "--output-dir", str(tmp_path / "o"),
         ]) == 3
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["simulate", "probe", "audit", "report"])
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, command, under):
+        if command == "simulate":
+            argv = ["--config", str(write_config(tmp_path, tiny_config()))]
+        elif command == "probe":
+            argv = ["--stage", stage_files(tmp_path)[1][0], "--k", "2"]
+        elif command == "audit":
+            argv = ["--dump", str(detection_dump(tmp_path)[0])]
+        else:
+            summary = tmp_path / "summary.json"
+            summary.write_text(_simulated_summary_text())
+            argv = ["--summary", str(summary)]
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken / "sub" if under else taken
+        assert main([command, *argv, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--output-dir" in err and "Traceback" not in err
+        assert taken.read_text() == "a file"
 
 
 class TestEntryPoint:

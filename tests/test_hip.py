@@ -9,17 +9,15 @@ from bevprobe.bev_grid import BevGridSpec, Heatmap
 from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
-    AccumulatedPositiveMask,
     Candidate,
+    CandidateColumns,
     HipConfig,
     MaskType,
     PositiveMask,
     accumulate_mask,
     apply_mask,
     build_positive_mask,
-    candidate_from_dict,
     candidates_from_jsonl,
-    candidates_to_jsonl,
     load_accumulated_mask,
     run_hip,
     save_mask,
@@ -78,7 +76,7 @@ class TestTopkSelect:
         values[1, 2, 2] = 0.5
         hm = Heatmap(spec, values)
         got = topk_select(hm, None, 4)
-        triples = [(c.class_id, c.y, c.x, c.score) for c in got.candidates]
+        triples = [(c.class_id, c.y, c.x, c.score) for c in got.columns.rows()]
         assert triples == [
             (0, 1, 2, pytest.approx(0.9)),
             (1, 0, 0, pytest.approx(0.9)),
@@ -99,10 +97,10 @@ class TestTopkSelect:
             k = int(rng.integers(1, values.size + 1))
             got = topk_select(hm, None, k)
             expect = brute_force_topk(values, None, k)
-            assert [(c.class_id, c.y, c.x) for c in got.candidates] == [
+            assert [(c.class_id, c.y, c.x) for c in got.columns.rows()] == [
                 (c, y, x) for c, y, x, _ in expect
             ]
-            assert [c.score for c in got.candidates] == [s for *_xyz, s in expect]
+            assert [c.score for c in got.columns.rows()] == [s for *_xyz, s in expect]
 
     def test_respects_mask(self):
         spec = make_spec(3, 3, 1)
@@ -110,15 +108,15 @@ class TestTopkSelect:
         hm = Heatmap(spec, values)
         bits = np.zeros(spec.shape, dtype=np.uint8)
         bits[0, 2, 2] = 1  # the global max
-        apm = AccumulatedPositiveMask(spec, bits)
+        apm = PositiveMask(spec, bits)
         got = topk_select(hm, apm, 1)
-        assert (got.candidates[0].y, got.candidates[0].x) == (2, 1)
+        assert (got.columns[0].y, got.columns[0].x) == (2, 1)
 
     def test_degenerate_when_k_exceeds_cells(self):
         spec = make_spec(2, 2, 1)
         hm = Heatmap(spec, np.full(spec.shape, 0.5, dtype=np.float32))
         got = topk_select(hm, None, 10)
-        assert len(got.candidates) == 4
+        assert len(got.columns) == 4
         assert got.degenerate
 
     def test_degenerate_when_filling_with_zero_scores(self):
@@ -127,16 +125,16 @@ class TestTopkSelect:
         values[0, 0, 0] = 0.4
         hm = Heatmap(spec, values)
         got = topk_select(hm, None, 2)
-        assert len(got.candidates) == 2
+        assert len(got.columns) == 2
         assert got.degenerate
-        assert got.candidates[1].score == 0.0
+        assert got.columns[1].score == 0.0
 
     def test_fully_masked_grid(self):
         spec = make_spec(2, 2, 1)
         hm = Heatmap(spec, np.full(spec.shape, 0.5, dtype=np.float32))
-        apm = AccumulatedPositiveMask(spec, np.ones(spec.shape, dtype=np.uint8))
+        apm = PositiveMask(spec, np.ones(spec.shape, dtype=np.uint8))
         got = topk_select(hm, apm, 3)
-        assert got.candidates == ()
+        assert got.columns.rows() == ()
         assert got.degenerate
 
     def test_world_center_is_cell_lattice_point(self):
@@ -144,7 +142,7 @@ class TestTopkSelect:
         values = np.zeros(spec.shape, dtype=np.float32)
         values[0, 3, 1] = 1.0
         got = topk_select(Heatmap(spec, values), None, 1)
-        cand = got.candidates[0]
+        cand = got.columns[0]
         assert (cand.world_x, cand.world_y) == spec.grid_to_world((cand.x, cand.y))
         assert (cand.world_x, cand.world_y) == (-0.5, 0.5)
 
@@ -276,13 +274,13 @@ class TestMaskAlgebra:
         rng = RNG(2)
         spec = make_spec(6, 5, 3)
         for _ in range(50):
-            a = AccumulatedPositiveMask(spec, rng.integers(0, 2, size=spec.shape))
+            a = PositiveMask(spec, rng.integers(0, 2, size=spec.shape))
             m = PositiveMask(spec, rng.integers(0, 2, size=spec.shape))
             merged = accumulate_mask(a, m)
             np.testing.assert_array_equal(merged.bits, np.maximum(a.bits, m.bits))
 
     def test_accumulate_spec_mismatch(self):
-        a = AccumulatedPositiveMask.zeros(make_spec(4, 4, 1))
+        a = PositiveMask.zeros(make_spec(4, 4, 1))
         m = PositiveMask(make_spec(5, 4, 1), np.zeros((1, 4, 5), dtype=np.uint8))
         with pytest.raises(ValueError):
             accumulate_mask(a, m)
@@ -293,7 +291,7 @@ class TestMaskAlgebra:
         for _ in range(50):
             hm = Heatmap(spec, rng.random(spec.shape).astype(np.float32))
             bits = rng.integers(0, 2, size=spec.shape).astype(np.uint8)
-            apm = AccumulatedPositiveMask(spec, bits)
+            apm = PositiveMask(spec, bits)
             masked = apply_mask(hm, apm)
             assert (masked.values[bits == 1] == 0.0).all()
             np.testing.assert_array_equal(
@@ -351,12 +349,12 @@ class TestRunHip:
             values[0, y, x] = s
         cfg = HipConfig(num_stages=3, k_per_stage=(3, 3, 3), mask_type=MaskType.POINT)
         result = run_hip([Heatmap(spec, values)] * 3, cfg, spec)
-        got = [(c.class_id, c.y, c.x, c.score) for c in result.candidates]
+        got = [(c.class_id, c.y, c.x, c.score) for c in result.columns.rows()]
         expect = naive_staged_probe(values, (3, 3, 3))
         assert got == expect
         peak_cells = {(y, x) for x, y, _ in strong + weak}
-        assert peak_cells <= {(c.y, c.x) for c in result.candidates}
-        assert len(result.candidates) == 9
+        assert peak_cells <= {(c.y, c.x) for c in result.columns.rows()}
+        assert len(result.columns) == 9
         assert result.degenerate
         assert [t.degenerate for t in result.traces] == [False, False, True]
 
@@ -368,7 +366,7 @@ class TestRunHip:
             ks = tuple(int(rng.integers(1, 5)) for _ in range(3))
             cfg = HipConfig(num_stages=3, k_per_stage=ks, mask_type=MaskType.POINT)
             result = run_hip([Heatmap(spec, values)] * 3, cfg, spec)
-            got = [(c.class_id, c.y, c.x, c.score) for c in result.candidates]
+            got = [(c.class_id, c.y, c.x, c.score) for c in result.columns.rows()]
             assert got == naive_staged_probe(values, ks)
 
     def test_matches_naive_loop_pooling_mode(self):
@@ -382,7 +380,7 @@ class TestRunHip:
                 small_classes=frozenset({1}),
             )
             result = run_hip([Heatmap(spec, values)] * 2, cfg, spec)
-            got = [(c.class_id, c.y, c.x, c.score) for c in result.candidates]
+            got = [(c.class_id, c.y, c.x, c.score) for c in result.columns.rows()]
             assert got == naive_staged_probe(values, ks, pooling=True, small={1})
 
     def test_no_candidate_repeats_masked_cell(self):
@@ -391,7 +389,7 @@ class TestRunHip:
         values = rng.random(spec.shape).astype(np.float32)
         cfg = HipConfig(num_stages=3, k_per_stage=(10, 10, 10), mask_type=MaskType.POINT)
         result = run_hip([Heatmap(spec, values)] * 3, cfg, spec)
-        triples = [(c.class_id, c.y, c.x) for c in result.candidates]
+        triples = [(c.class_id, c.y, c.x) for c in result.columns.rows()]
         assert len(triples) == len(set(triples)) == 30
 
     def test_traces_monotone_accumulation(self):
@@ -425,8 +423,8 @@ class TestRunHip:
         cfg = HipConfig(num_stages=3, k_per_stage=(1, 1, 1), mask_type=MaskType.POINT)
         result = run_hip(source, cfg, spec)
         assert seen == [(0, 0), (1, 1), (2, 2)]
-        assert [(c.y, c.x) for c in result.candidates] == [(0, 0), (1, 1), (2, 2)]
-        assert [c.stage for c in result.candidates] == [0, 1, 2]
+        assert [(c.y, c.x) for c in result.columns.rows()] == [(0, 0), (1, 1), (2, 2)]
+        assert [c.stage for c in result.columns.rows()] == [0, 1, 2]
 
     def test_source_failure_names_stage(self):
         spec = make_spec(4, 4, 1)
@@ -487,7 +485,7 @@ class TestRunHip:
             ]
 
         result = run_hip([Heatmap(spec, values)] * 2, cfg, spec, box_provider=provider)
-        assert [(c.y, c.x) for c in result.candidates] == [(5, 5), (5, 8)]
+        assert [(c.y, c.x) for c in result.columns.rows()] == [(5, 5), (5, 8)]
 
 
 class TestCandidateSerialization:
@@ -496,12 +494,12 @@ class TestCandidateSerialization:
         values = RNG(8).random(spec.shape).astype(np.float32)
         cfg = HipConfig(num_stages=2, k_per_stage=(4, 4), mask_type=MaskType.POINT)
         result = run_hip([Heatmap(spec, values)] * 2, cfg, spec)
-        text = candidates_to_jsonl(result.candidates)
+        text = result.columns.to_jsonl()
         back = candidates_from_jsonl(text)
-        assert tuple(back) == result.candidates
+        assert tuple(back) == result.columns.rows()
 
     def test_record_key_order(self):
-        text = candidates_to_jsonl([Candidate(1, 2, 0, 0.5, 1, 0.5, 1.0)])
+        text = CandidateColumns.of([Candidate(1, 2, 0, 0.5, 1, 0.5, 1.0)]).to_jsonl()
         line = text.strip()
         assert line.startswith('{"stage":1,"x":1,"y":2,"class_id":0,"score":0.5')
         record = json.loads(line)
@@ -518,7 +516,7 @@ class TestCandidateSerialization:
     def test_non_finite_candidate_rejected_by_writer(self, bad):
         good = Candidate(1, 2, 0, 0.5, 1, 0.5, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"candidate {bad} ")):
-            candidates_to_jsonl([good, bad, Candidate(3, 0, 0, math.nan, 0, 0.0, 0.0)])
+            CandidateColumns.of([good, bad, Candidate(3, 0, 0, math.nan, 0, 0.0, 0.0)]).to_jsonl()
 
     def test_malformed_line_rejected(self):
         good = '{"stage":0,"x":1,"y":2,"class_id":0,"score":0.5,"world_x":1.0,"world_y":2.0}\n'
@@ -529,15 +527,15 @@ class TestCandidateSerialization:
                 candidates_from_jsonl(good + bad)
 
     def test_missing_field_rejected(self):
-        with pytest.raises(DataError):
-            candidate_from_dict({"stage": 0, "x": 1, "y": 2})
+        with pytest.raises(DataError, match="line 1: candidate"):
+            candidates_from_jsonl('{"stage":0,"x":1,"y":2}\n')
 
 
 class TestMaskFiles:
     def test_roundtrip(self, tmp_path):
         spec = make_spec(5, 4, 2)
         bits = RNG(9).integers(0, 2, size=spec.shape).astype(np.uint8)
-        apm = AccumulatedPositiveMask(spec, bits)
+        apm = PositiveMask(spec, bits)
         path = tmp_path / "mask.bevgrid"
         save_mask(path, apm)
         back = load_accumulated_mask(path)

@@ -25,14 +25,13 @@ from bevprobe.assignment import MatchConfig, classify_stage
 from bevprobe.bev_grid import BevGridSpec, Heatmap
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
-    AccumulatedPositiveMask,
     Candidate,
     CandidateColumns,
     HipConfig,
     MaskType,
+    PositiveMask,
     build_positive_mask,
     candidates_from_jsonl,
-    candidates_to_jsonl,
     encode_compact_json,
     topk_select,
 )
@@ -159,7 +158,7 @@ class TestTopkProperties:
             bits = np.array(flags, dtype=np.uint8).reshape(spec.shape)
         else:
             bits = np.zeros(spec.shape, dtype=np.uint8)
-        accumulated = None if mask_kind == "none" else AccumulatedPositiveMask(spec, bits)
+        accumulated = None if mask_kind == "none" else PositiveMask(spec, bits)
         # Up to past the grid size, so k >= open cells is covered too.
         k = data.draw(st.integers(1, n + 3))
         stage = data.draw(st.integers(0, 4))
@@ -167,13 +166,13 @@ class TestTopkProperties:
         got = topk_select(Heatmap(spec, values), accumulated, k, stage=stage)
 
         expect = full_sort_topk(values, bits, k)
-        assert [(c.class_id, c.y, c.x, c.score) for c in got.candidates] == expect
-        assert all(c.stage == stage for c in got.candidates)
+        assert [(c.class_id, c.y, c.x, c.score) for c in got.columns.rows()] == expect
+        assert all(c.stage == stage for c in got.columns.rows())
         assert all(
             (c.world_x, c.world_y) == spec.grid_to_world((c.x, c.y))
-            for c in got.candidates
+            for c in got.columns.rows()
         )
-        assert all(type(c.x) is int and type(c.score) is float for c in got.candidates)
+        assert all(type(c.x) is int and type(c.score) is float for c in got.columns.rows())
         assert got.degenerate == (sum(1 for *_cyx, s in expect if s > 0.0) < k)
 
 
@@ -375,7 +374,7 @@ class TestCandidateColumnsProperties:
 
         assert text == "".join(candidate_record(c, scene_id) + "\n" for c in cols.rows())
         if scene_id is None:
-            assert candidates_to_jsonl(cols.rows()) == text
+            assert CandidateColumns.of(cols.rows()).to_jsonl() == text
             assert candidates_from_jsonl(text) == list(cols.rows())
 
     @settings(max_examples=200, deadline=None)

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from bevprobe.metrics import (
     recall_report_rows,
     recall_report_to_dict,
     write_recall_csv,
-    write_recall_json,
 )
 
 RNG = np.random.default_rng
@@ -443,7 +441,7 @@ class TestReportSerialization:
             back = list(csv.DictReader(fh))
         assert [float(r["recall"]) for r in back[:4]] == [0.25, 0.25, 0.5, 0.75]
 
-    def test_json_report(self, tmp_path):
+    def test_json_report(self):
         preds, gts = ladder_fixture()
         report = average_recall(preds, gts)
         d = recall_report_to_dict(report)
@@ -451,11 +449,6 @@ class TestReportSerialization:
             "0.5": 0.25, "1.0": 0.25, "2.0": 0.5, "4.0": 0.75
         }
         assert d["mean_average_recall"] == 0.4375
-        path = tmp_path / "recall.json"
-        write_recall_json(path, report)
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == d
 
     def test_report_is_plain_dataclass(self):
         preds, gts = ladder_fixture()

@@ -512,6 +512,15 @@ class TestOracleHeatmap:
         gx, gy = spec.world_to_grid((8.0, 8.0))
         assert h4.values[1, round(gy), round(gx)] == 1.0
 
+    def test_overflowing_gain_saturates(self):
+        # 1e200 ** 2 overflows a float; a positive amplitude caps at 1, a zero one stays 0.
+        spec = make_spec()
+        scene = replace(two_object_scene(), amplitudes=(0.0, 0.4))
+        h2 = oracle_stage_heatmap(scene, 2, frozenset(), make_model(stage_gain=1e200), spec)
+        gx, gy = spec.world_to_grid((8.0, 8.0))
+        assert h2.values[1, round(gy), round(gx)] == 1.0
+        assert not h2.values[0].any()
+
     def test_detected_objects_keep_base_amplitude(self):
         spec = make_spec()
         scene = two_object_scene()
