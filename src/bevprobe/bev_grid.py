@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, from_json
+from .errors import DataError, decode_json, from_json
 from .geometry import BevBox
 
 _FORMAT_TAG = "bevprobe-grid-v1"
@@ -254,10 +254,7 @@ def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, 
     newline = raw.find(b"\n")
     if newline < 0:
         raise DataError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: malformed header: {exc}") from exc
+    header = decode_json(raw[:newline], f"{path}: malformed header", DataError)
     if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
         raise DataError(f"{path}: not a {_FORMAT_TAG} file")
     dtype = header.get("dtype")

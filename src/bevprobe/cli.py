@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bev_grid import load_heatmap
-from .errors import BevProbeError, ConfigError, DataError, typed
+from .errors import BevProbeError, ConfigError, DataError, decode_json, typed
 from .geometry import BevBox, BoxColumns
 from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
@@ -29,6 +29,7 @@ from .metrics import (
     merge_reports,
     recall_report_rows,
     recall_report_to_dict,
+    recall_rows,
     write_recall_csv,
 )
 from .sim import (
@@ -38,12 +39,12 @@ from .svg import grouped_bar_chart, line_chart
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -60,12 +61,10 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 def _read_json(path: Path, what: str, err=DataError) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return decode_json(fh, f"{path}: malformed JSON", err)
     except OSError as exc:
         raise err(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise err(f"{path}: malformed JSON: {exc}") from exc
 
 
 def _run_info() -> dict:
@@ -88,26 +87,6 @@ def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
         return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: expected comma-separated {noun}, got {text!r}") from exc
-
-
-def _recall_curve_points(pooled: dict, where: str) -> list[tuple[float, float, str]]:
-    """Sorted (threshold, recall, key) points of a pooled report read from
-    JSON; no threshold at all, a key that is not a finite number or a
-    recall that is not one raises DataError naming it under ``where``."""
-    where = f"{where}.per_threshold_recall"
-    per_thr = typed(dict, pooled["per_threshold_recall"], where, DataError)
-    if not per_thr:
-        raise DataError(f"{where}: expected at least one threshold")
-    pts = []
-    for key, recall in per_thr.items():
-        try:
-            t = float(key)
-        except ValueError:
-            t = math.nan
-        if not math.isfinite(t):
-            raise DataError(f"{where}: key {key!r} is not a finite number")
-        pts.append((t, float(typed(float, recall, f"{where}.{key}", DataError)), key))
-    return sorted(pts)
 
 
 def _write_recall_curve(out: Path, series: dict[str, list[tuple[float, float]]]) -> None:
@@ -162,18 +141,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for arm in (ARM_PROBE, ARM_BASELINE):
         pooled = result.arms[arm].pooled
         write_recall_csv(out / f"recall_{arm}.csv", recall_report_rows(pooled, scope=arm))
-        _write_json(out / f"recall_{arm}.json", recall_report_to_dict(pooled))
+        _write_json(out / f"recall_{arm}.json", summary["arms"][arm]["pooled"])
         _write_text(
             out / f"candidates_{arm}.jsonl",
             "".join(o.candidates[arm].to_jsonl(o.scene_id) for o in result.scenes),
         )
 
     # Sorted arm order keeps the chart byte-identical with `report`.
-    series = {}
-    for arm in sorted((ARM_PROBE, ARM_BASELINE)):
-        pts = _recall_curve_points(summary["arms"][arm]["pooled"], f"arms.{arm}.pooled")
-        series[arm] = [(t, r) for t, r, _key in pts]
-    _write_recall_curve(out, series)
+    _write_recall_curve(out, {
+        arm: sorted(result.arms[arm].pooled.per_threshold_recall.items())
+        for arm in sorted((ARM_PROBE, ARM_BASELINE))
+    })
     if args.save_scenes:
         scene_lines = []
         for outcome in result.scenes:
@@ -414,32 +392,32 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not isinstance(pooled, dict) or "per_threshold_recall" not in pooled:
             raise DataError(f"{summary_path}: arms.{arm} lacks pooled recall data")
         where = f"{summary_path}: arms.{arm}.pooled"
-        pts = _recall_curve_points(pooled, where)
-        series[arm] = [(t, r) for t, r, _key in pts]
+        thr_where = f"{where}.per_threshold_recall"
+        recall = typed(dict[str, float], pooled["per_threshold_recall"], thr_where, DataError)
+        if not recall:
+            raise DataError(f"{thr_where}: expected at least one threshold")
+        pts = []
+        for key, r in recall.items():
+            try:
+                t = float(key)
+            except ValueError:
+                t = math.nan
+            if not math.isfinite(t):
+                raise DataError(f"{thr_where}: key {key!r} is not a finite number")
+            pts.append((t, float(r), key))  # float(): a JSON integer 1 prints as 1.0
+        pts.sort()
         num_gt = typed(int, pooled.get("num_gt", 0), f"{where}.num_gt", DataError)
-        matched = typed(dict, pooled.get("num_matched", {}), f"{where}.num_matched", DataError)
-        # An absent num_matched reads as 0 everywhere; a present one must
-        # spell its thresholds exactly as per_threshold_recall does.
-        if "num_matched" in pooled:
-            recall_keys = pooled["per_threshold_recall"]
-            for key in [*recall_keys, *matched]:
-                if (key in recall_keys) != (key in matched):
-                    raise DataError(
-                        f"{where}.num_matched.{key}: num_matched and per_threshold_recall "
-                        "must have the same keys"
-                    )
-        for t, r, key in pts:
-            num_matched = typed(int, matched.get(key, 0), f"{where}.num_matched.{key}", DataError)
-            rows.append(
-                {
-                    "scope": arm,
-                    "class": "*",
-                    "threshold": repr(t),
-                    "recall": repr(r),
-                    "num_gt": num_gt,
-                    "num_matched": num_matched,
-                }
-            )
+        # Absent, num_matched reads as 0; present, it must spell per_threshold_recall's keys.
+        matched = pooled.get("num_matched", dict.fromkeys(recall, 0))
+        matched = typed(dict[str, int], matched, f"{where}.num_matched", DataError)
+        for key in [*recall, *matched]:
+            if (key in recall) != (key in matched):
+                raise DataError(
+                    f"{where}.num_matched.{key}: num_matched and per_threshold_recall "
+                    "must have the same keys"
+                )
+        series[arm] = [(t, r) for t, r, _key in pts]
+        rows += recall_rows(arm, "*", num_gt, [(t, r, matched[key]) for t, r, key in pts])
     out = _output_dir(args)
     _write_recall_curve(out, series)
     write_recall_csv(out / "recall_summary.csv", rows)

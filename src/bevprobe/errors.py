@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the typed reader that
-raises them for malformed outside input.
+"""Exception types shared across the package, and the JSON decoder and
+typed reader that raise them for malformed outside input.
 
 The CLI maps these onto process exit codes: ConfigError exits with 2,
 DataError with 3. Everything else is a plain bug and propagates.
@@ -8,6 +8,7 @@ DataError with 3. Everything else is a plain bug and propagates.
 import dataclasses
 import enum
 import functools
+import json
 import sys
 import types
 import typing
@@ -34,12 +35,28 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def decode_json(doc, where: str, err: type[BevProbeError]):
+    """Parse outside JSON from text, strict UTF-8 bytes or a text file; any
+    document the decoder rejects raises ``err`` as ``{where}: {reason}``."""
+    try:
+        if isinstance(doc, bytes):
+            doc = doc.decode("utf-8")
+        return json.loads(doc if isinstance(doc, str) else doc.read())
+    except (ValueError, RecursionError) as exc:
+        raise err(f"{where}: {exc}") from exc
+
+
 def typed(tp, value, path: str, err: type[BevProbeError]):
     """Check one JSON value against a field annotation. Lists become tuples
-    or frozensets and strings become enum members; all else passes as is."""
+    or frozensets, objects typed ``dict[str, T]`` have each value checked
+    as ``T``, and strings become enum members; all else passes as is."""
     origin = typing.get_origin(tp)
     if origin is types.UnionType:  # ``T | None``, the only union in use
         return None if value is None else typed(typing.get_args(tp)[0], value, path, err)
+    if origin is dict:
+        value = typed(dict, value, path, err)
+        vt = typing.get_args(tp)[1]
+        return {k: typed(vt, v, _at(path, k), err) for k, v in value.items()}
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise err(f"{path}: expected a list, got {value!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bev_grid import BevGridSpec, Heatmap, read_grid_tensor, write_grid_tensor
 from .columns import RowColumns
-from .errors import BevProbeError, DataError, from_json
+from .errors import BevProbeError, DataError, decode_json, from_json
 from .geometry import BevBox
 
 
@@ -461,13 +461,11 @@ encode_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 def candidates_from_jsonl(text: str) -> list[Candidate]:
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a record: str.splitlines also breaks at a U+2028 in a string.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {lineno}: malformed JSON: {exc}") from exc
+        record = decode_json(line, f"line {lineno}: malformed JSON", DataError)
         out.append(from_json(Candidate, record, f"line {lineno}: candidate", err=DataError))
     return out
 

@@ -225,47 +225,39 @@ def ap_center_distance(
     return ApResult(float(ap), len(gts), len(preds))
 
 
+_CSV_COLUMNS = ("scope", "class", "threshold", "recall", "num_gt", "num_matched")
+
+
+def recall_rows(scope: str, cls: int | str, num_gt: int, points: Sequence[tuple]) -> list[dict]:
+    """CSV rows of one scope and class, one per (threshold, recall,
+    num_matched) point; floats are written by ``repr``."""
+    return [
+        dict(zip(_CSV_COLUMNS, (scope, cls, repr(t), repr(r), num_gt, m))) for t, r, m in points
+    ]
+
+
 def recall_report_rows(report: RecallReport, scope: str = "overall") -> list[dict]:
     """Flatten a report into CSV-ready rows.
 
-    Columns: scope, class, threshold, recall, num_gt, num_matched. Overall
-    rows use "*" for the class column; per-class rows follow, ordered by
-    class id then threshold.
+    Overall rows use "*" for the class column; per-class rows follow,
+    ordered by class id then threshold.
     """
-    thresholds = sorted(report.per_threshold_recall)
-    rows = []
-    for t in thresholds:
-        rows.append(
-            {
-                "scope": scope,
-                "class": "*",
-                "threshold": repr(t),
-                "recall": repr(report.per_threshold_recall[t]),
-                "num_gt": report.num_gt,
-                "num_matched": report.num_matched.get(t, 0),
-            }
+    recall = report.per_threshold_recall
+    thresholds = sorted(recall)
+    rows = recall_rows(
+        scope, "*", report.num_gt, [(t, recall[t], report.num_matched[t]) for t in thresholds]
+    )
+    for c, by_t in sorted(report.per_class_recall.items()):
+        matched = report.per_class_matched[c]
+        rows += recall_rows(
+            scope, c, report.per_class_gt[c], [(t, by_t[t], matched[t]) for t in thresholds]
         )
-    for c in sorted(report.per_class_recall):
-        for t in thresholds:
-            rows.append(
-                {
-                    "scope": scope,
-                    "class": c,
-                    "threshold": repr(t),
-                    "recall": repr(report.per_class_recall[c][t]),
-                    "num_gt": report.per_class_gt.get(c, 0),
-                    "num_matched": report.per_class_matched.get(c, {}).get(t, 0),
-                }
-            )
     return rows
-
-
-_CSV_COLUMNS = ("scope", "class", "threshold", "recall", "num_gt", "num_matched")
 
 
 def write_recall_csv(path: str | os.PathLike, rows: Sequence[dict]) -> None:
     """Write recall rows with a fixed column order and '\n' line endings."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in rows:

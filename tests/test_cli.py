@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -492,6 +493,16 @@ PROBE_FLAG_POOL = {
 }
 
 
+# Whole documents the JSON decoder rejects, each built from a valid one.
+MALFORMED_DOCUMENTS = {
+    "invalid UTF-8": lambda doc: b"\xff" + doc,
+    "5,000-digit integer": lambda doc: b"[" + b"1" * 5000 + b"]",
+    "100,000-deep nesting": lambda doc: b"[" * 100_000,
+    "UTF-8 BOM": lambda doc: b"\xef\xbb\xbf" + doc,
+    "empty file": lambda doc: b"",
+}
+
+
 def json_slots(node, path=()):
     """Paths to every key and list entry of a JSON tree, at any depth."""
     for key, child in node.items() if isinstance(node, dict) else enumerate(node):
@@ -602,6 +613,27 @@ class TestBoundaryFuzz:
             )
         assert code in (0, 3), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("broken", list(MALFORMED_DOCUMENTS))
+    @pytest.mark.parametrize("command", ["simulate", "audit", "report", "probe"])
+    def test_malformed_document_exits_2_or_3(self, tmp_path, command, broken):
+        if command == "simulate":
+            flag, path = "--config", write_config(tmp_path, tiny_config())
+        elif command == "audit":
+            flag, path = "--dump", detection_dump(tmp_path)[0]
+        elif command == "report":
+            flag, path = "--summary", tmp_path / "summary.json"
+            path.write_text(_simulated_summary_text())
+        else:
+            flag, path = "--stage", Path(stage_files(tmp_path, num_stages=1, size=6)[1][0])
+        raw = path.read_bytes()
+        cut = raw.index(b"\n") if command == "probe" else len(raw)  # a grid's header line
+        path.write_bytes(MALFORMED_DOCUMENTS[broken](raw[:cut]) + raw[cut:])
+        argv = [command, flag, str(path), "--output-dir", str(tmp_path / "o")]
+        code, err = run_quietly(argv + (["--k", "3"] if command == "probe" else []))
+        assert code == (2 if command == "simulate" else 3), err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 @functools.cache
@@ -880,6 +912,8 @@ class TestReportCommand:
             (("num_matched", "4.0"), DELETE, "arms.hip.pooled.num_matched.4.0"),
             (("num_matched", "8.0"), 3, "arms.hip.pooled.num_matched.8.0"),
             (("per_threshold_recall",), {}, "arms.hip.pooled.per_threshold_recall"),
+            (("per_threshold_recall", "1.0"), None, "arms.hip.pooled.per_threshold_recall.1.0"),
+            (("num_matched", "1.0"), True, "arms.hip.pooled.num_matched.1.0"),
         ],
     )
     def test_malformed_summary_exits_3(self, tmp_path, capsys, slot, value, named):
@@ -904,6 +938,7 @@ class TestReportCommand:
             ({"num_matched": {}}, 3, "arms.hip.pooled.num_matched.1:"),
             ({"per_threshold_recall": {}}, 3,
              "arms.hip.pooled.per_threshold_recall: expected at least one threshold"),
+            ({"per_threshold_recall": {"1": 1}}, 0, "hip,*,1.0,1.0,6,0"),
         ],
     )
     def test_num_matched_read_by_recall_key(self, tmp_path, capsys, matched, code, expect):
@@ -917,6 +952,25 @@ class TestReportCommand:
         else:
             err = capsys.readouterr().err
             assert expect in err and "Traceback" not in err
+
+    def test_output_bytes_do_not_depend_on_locale(self, tmp_path):
+        summary = simulated_summary()
+        summary["arms"]["café"] = summary["arms"].pop("hip")
+        path = tmp_path / "summary.json"
+        path.write_bytes(json.dumps(summary, ensure_ascii=False).encode("utf-8"))
+        runs = []
+        for env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                    {"PYTHONUTF8": "1"}):
+            out = tmp_path / f"o{len(runs)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bevprobe.cli", "report", "--summary", str(path),
+                 "--output-dir", str(out)],
+                env={**os.environ, **env}, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(digest_dir(out))
+        assert runs[0] == runs[1]
+        assert "café,*," in (out / "recall_summary.csv").read_text(encoding="utf-8")
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"

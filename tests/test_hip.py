@@ -530,6 +530,12 @@ class TestCandidateSerialization:
         with pytest.raises(DataError, match="line 1: candidate"):
             candidates_from_jsonl('{"stage":0,"x":1,"y":2}\n')
 
+    def test_line_separator_inside_a_string_does_not_end_the_record(self):
+        # U+2028 is a line break to str.splitlines but not to JSONL.
+        record = '{"stage":0,"x":1,"y":2,"class_id":0,"score":0.5,"world_x":1.0,"world_y":2.0'
+        with pytest.raises(DataError, match="line 1: candidate.note: unknown key"):
+            candidates_from_jsonl(record + ',"note":"a\u2028b"}\n')
+
 
 class TestMaskFiles:
     def test_roundtrip(self, tmp_path):

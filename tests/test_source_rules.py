@@ -1,0 +1,43 @@
+"""Rules over the package source, checked by parsing it with ``ast``."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bevprobe"
+
+
+class _JsonDecodes(ast.NodeVisitor):
+    """Collects (function, line) for each ``json.load``/``json.loads`` call."""
+
+    def __init__(self):
+        self.function = "<module>"
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json" and {a.name for a in node.names} & {"load", "loads"}:
+            self.found.append(("<import>", node.lineno))
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
+                and isinstance(f.value, ast.Name) and f.value.id == "json"):
+            self.found.append((self.function, node.lineno))
+        self.generic_visit(node)
+
+
+def test_outside_json_has_one_decoder():
+    # Each reader once caught its own subset of decoder errors, so a bad
+    # document could exit 2, 3 or with a traceback depending on the reader.
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _JsonDecodes()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for function, line in visitor.found:
+            calls[f"{path.name}:{line}"] = function
+    assert list(calls.values()) == ["decode_json"], calls
+    assert next(iter(calls)).startswith("errors.py:")
