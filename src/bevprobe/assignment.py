@@ -128,8 +128,6 @@ def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) ->
     """Pairwise similarity between predictions (rows) and ground truth."""
     n_pred, n_gt = len(preds), len(gts)
     if metric is MatchMetric.CENTER_DISTANCE:
-        if n_pred == 0 or n_gt == 0:
-            return np.zeros((n_pred, n_gt))
         preds, gts = prediction_columns(preds), BoxColumns.of(gts)
         if isinstance(preds, CandidateColumns):
             px, py = preds.world_x, preds.world_y

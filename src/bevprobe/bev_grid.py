@@ -73,6 +73,15 @@ class BevGridSpec:
         return 0 <= x < self.size_x and 0 <= y < self.size_y
 
 
+def frozen_grid(spec: BevGridSpec, values, dtype, what: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``, which must have the grid's shape."""
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != spec.shape:
+        raise ValueError(f"{what} shape {arr.shape} does not match grid shape {spec.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Heatmap:
     """Per-class center heatmap over a grid: float32 [C][Y][X] in [0, 1].
@@ -85,15 +94,10 @@ class Heatmap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float32)
-        if arr.shape != self.spec.shape:
-            raise ValueError(
-                f"heatmap shape {arr.shape} does not match grid shape {self.spec.shape}"
-            )
+        arr = frozen_grid(self.spec, self.values, np.float32, "heatmap")
         # NaN fails both comparisons.
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("heatmap values must lie in [0, 1] and contain no NaNs")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -200,16 +204,27 @@ def render_gaussian_heatmap(
     returned alongside the heatmap.
     """
     canvas = np.zeros(spec.shape, dtype=np.float64)
+    skipped = splat_centers(canvas, gts, [1.0] * len(gts), spec, cfg)
+    return Heatmap(spec, canvas), skipped
+
+
+def splat_centers(
+    canvas: np.ndarray, gts: Sequence[BevBox], peaks: Sequence[float], spec: BevGridSpec,
+    cfg: GaussianRenderConfig,
+) -> int:
+    """Max-combine a Gaussian of peak ``peaks[i]`` at the rounded center cell
+    of each ``gts[i]`` into its class plane; return how many fell off the grid."""
     skipped = 0
-    for gt in gts:
+    for i, (gt, peak) in enumerate(zip(gts, peaks)):
         if not 0 <= gt.class_id < spec.num_classes:
-            raise ValueError(f"class_id {gt.class_id} outside [0, {spec.num_classes})")
+            raise ValueError(
+                f"ground truth {i} has class_id {gt.class_id} outside [0, {spec.num_classes})"
+            )
         gx, gy = spec.world_to_grid((gt.cx, gt.cy))
         x, y = int(round(gx)), int(round(gy))
-        radius = radius_for_box(gt, spec, cfg)
-        if not draw_gaussian_peak(canvas[gt.class_id], x, y, radius, peak=1.0):
+        if not draw_gaussian_peak(canvas[gt.class_id], x, y, radius_for_box(gt, spec, cfg), peak):
             skipped += 1
-    return Heatmap(spec, canvas), skipped
+    return skipped
 
 
 def write_grid_tensor(
@@ -279,12 +294,18 @@ def save_heatmap(path: str | os.PathLike, heatmap: Heatmap) -> None:
     write_grid_tensor(path, heatmap.spec, heatmap.values, "f32")
 
 
-def load_heatmap(path: str | os.PathLike) -> Heatmap:
-    """Load a heatmap persisted by :func:`save_heatmap`."""
-    spec, values, dtype = read_grid_tensor(path)
-    if dtype != "f32":
-        raise DataError(f"{path}: expected an f32 heatmap, found dtype {dtype!r}")
+def load_grid(path: str | os.PathLike, cls, dtype: str, what: str):
+    """``cls(spec, values)`` of a grid file holding ``dtype`` elements; a
+    file of another dtype, or values ``cls`` rejects, raise DataError."""
+    spec, values, found = read_grid_tensor(path)
+    if found != dtype:
+        raise DataError(f"{path}: expected {what}, found dtype {found!r}")
     try:
-        return Heatmap(spec, values)
+        return cls(spec, values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def load_heatmap(path: str | os.PathLike) -> Heatmap:
+    """Load a heatmap persisted by :func:`save_heatmap`."""
+    return load_grid(path, Heatmap, "f32", "an f32 heatmap")

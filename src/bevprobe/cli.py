@@ -167,18 +167,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
     if not stage_paths:
         raise ConfigError("at least one --stage heatmap is required")
     num_stages = len(stage_paths)
-    if args.k is not None and args.k_per_stage is not None:
-        raise ConfigError("--k and --k-per-stage are mutually exclusive")
-    if args.k is not None:
-        budgets = [args.k] * num_stages
-    elif args.k_per_stage is not None:
-        budgets = _parse_list(args.k_per_stage, "--k-per-stage", int, "integers")
-        if len(budgets) != num_stages:
-            raise ConfigError(
-                f"--k-per-stage lists {len(budgets)} budgets for {num_stages} stage files"
-            )
-    else:
-        raise ConfigError("one of --k or --k-per-stage is required")
+    if args.k is None:
+        raise ConfigError("--k is required")
+    budgets = _parse_list(args.k, "--k", int, "integers")
+    if len(budgets) == 1:
+        budgets *= num_stages
+    if len(budgets) != num_stages:
+        raise ConfigError(f"--k lists {len(budgets)} budgets for {num_stages} stage files")
     mtype = MaskType(args.mask_type)
     small = frozenset(_parse_list(args.small_classes or "", "--small-classes", int, "integers"))
     if mtype is MaskType.BOX:
@@ -360,12 +355,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     _write_json(out / "recall.json", recall_report_to_dict(pooled))
     _write_json(out / "fn_inventory.json", inventory)
 
-    classes = sorted(pooled.per_class_recall)
+    per_class = pooled.per_class_recall  # a property that builds the table on each read
+    classes = sorted(per_class)
     if classes:
-        series = {
-            f"d={t:g}m": [pooled.per_class_recall[c][t] for c in classes]
-            for t in recall_cfg.thresholds
-        }
+        series = {f"d={t:g}m": [per_class[c][t] for c in classes] for t in recall_cfg.thresholds}
         chart = grouped_bar_chart(
             [str(c) for c in classes],
             series,
@@ -388,6 +381,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     series = {}
     rows = []
     for arm in sorted(arms):
+        try:  # JSON may spell a lone surrogate, which no output file can hold
+            arm.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{summary_path}: arm {arm!r} cannot be written as UTF-8") from None
         pooled = arms[arm].get("pooled") if isinstance(arms[arm], dict) else None
         if not isinstance(pooled, dict) or "per_threshold_recall" not in pooled:
             raise DataError(f"{summary_path}: arms.{arm} lacks pooled recall data")
@@ -442,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--stage", action="append", default=[], metavar="FILE",
                          help="stage heatmap file; repeat once per stage, in order")
     p_probe.add_argument("--output-dir", required=True)
-    p_probe.add_argument("--k", type=int, default=None, help="candidate budget applied to every stage")
-    p_probe.add_argument("--k-per-stage", default=None, help="comma-separated per-stage budgets")
+    p_probe.add_argument("--k", help="candidate budget: N for every stage, or N1,N2,... per stage")
     p_probe.add_argument("--mask-type", default="point", choices=[m.value for m in MaskType])
     p_probe.add_argument("--small-classes", default=None, help="comma-separated class ids kept at single-cell masks")
     p_probe.add_argument("--pooling-kernel", type=int, default=3)

@@ -29,7 +29,8 @@ class RowColumns(Sequence):
 
     def __init__(self, *columns, dtypes=None) -> None:
         n = len(columns[0])
-        for name, col, dtype in zip(self._fields, columns, dtypes or (None,) * len(columns)):
+        dtypes = dtypes or (None,) * len(columns)
+        for name, col, dtype in zip(self._fields, columns, dtypes, strict=True):
             arr = np.asarray(col, dtype=dtype).view()
             if arr.shape != (n,):
                 raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bev_grid import BevGridSpec, Heatmap, read_grid_tensor, write_grid_tensor
+from .bev_grid import BevGridSpec, Heatmap, frozen_grid, load_grid, write_grid_tensor
 from .columns import RowColumns
 from .errors import BevProbeError, DataError, decode_json, from_json
 from .geometry import BevBox
@@ -95,9 +95,6 @@ class CandidateColumns(RowColumns):
     _row = Candidate
     _noun = "candidates"
 
-    def __init__(self, x, y, class_id, score, stage, world_x, world_y) -> None:
-        super().__init__(x, y, class_id, score, stage, world_x, world_y)
-
     @classmethod
     def concat(cls, parts: Sequence["CandidateColumns"]) -> "CandidateColumns":
         if not parts:
@@ -137,12 +134,9 @@ class PositiveMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.bits, dtype=np.uint8)
-        if arr.shape != self.spec.shape:
-            raise ValueError(f"mask shape {arr.shape} does not match grid {self.spec.shape}")
+        arr = frozen_grid(self.spec, self.bits, np.uint8, "mask")
         if arr.max() > 1:
             raise ValueError("mask bits must be 0 or 1")
-        arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
     @classmethod
@@ -202,19 +196,13 @@ def topk_select(
     order = np.lexsort((chosen, work[chosen]))
     chosen = chosen[order]
     scores = flat[chosen]
-    cls, rem = np.divmod(chosen, spec.size_y * spec.size_x)
-    ys, xs = np.divmod(rem, spec.size_x)
+    cls, ys, xs = np.unravel_index(chosen, spec.shape)
     # Every index lies below the cell count; int32 index columns take half
     # the bytes of intp ones when outcomes are pickled between processes.
     index = np.int32 if max(n, abs(stage)) < 2**31 else np.int64
     cols = CandidateColumns(
-        xs.astype(index),
-        ys.astype(index),
-        cls.astype(index),
-        scores,
-        np.full(chosen.size, stage, dtype=index),
-        spec.origin_x + xs * spec.cell_size,
-        spec.origin_y + ys * spec.cell_size,
+        xs.astype(index), ys.astype(index), cls.astype(index), scores,
+        np.full(chosen.size, stage, dtype=index), *spec.grid_to_world((xs, ys)),
     )
     return TopKResult(cols, int(np.count_nonzero(scores > 0.0)) < k)
 
@@ -243,8 +231,7 @@ def _rasterize_boxes(
     ).reshape(-1, 6)
     cx, cy, length, width, c, s = geo.T
     hl, hw = 0.5 * length, 0.5 * width
-    gx = (corners[:, :, 0] - spec.origin_x) / spec.cell_size
-    gy = (corners[:, :, 1] - spec.origin_y) / spec.cell_size
+    gx, gy = spec.world_to_grid((corners[:, :, 0], corners[:, :, 1]))
     x0 = np.maximum(0.0, np.floor(gx.min(axis=1)))
     x1 = np.minimum(spec.size_x - 1.0, np.ceil(gx.max(axis=1)))
     y0 = np.maximum(0.0, np.floor(gy.min(axis=1)))
@@ -265,9 +252,8 @@ def _rasterize_boxes(
             stop, wmax, hmax = stop + 1, wn, hn
         part = slice(start, stop)
         cols, rows = np.arange(wmax), np.arange(hmax)
-        dx = spec.origin_x + (x0[part, None] + cols) * spec.cell_size - cx[part, None]
-        dy = spec.origin_y + (y0[part, None] + rows) * spec.cell_size - cy[part, None]
-        dx, dy = dx[:, None, :], dy[:, :, None]
+        wx, wy = spec.grid_to_world((x0[part, None] + cols, y0[part, None] + rows))
+        dx, dy = (wx - cx[part, None])[:, None, :], (wy - cy[part, None])[:, :, None]
         cb, sb = c[part, None, None], s[part, None, None]
         inside = np.abs(cb * dx + sb * dy) <= hl[part, None, None]
         inside &= np.abs(-sb * dx + cb * dy) <= hw[part, None, None]
@@ -476,10 +462,4 @@ def save_mask(path: str | os.PathLike, mask: PositiveMask) -> None:
 
 
 def load_accumulated_mask(path: str | os.PathLike) -> PositiveMask:
-    spec, values, dtype = read_grid_tensor(path)
-    if dtype != "u8":
-        raise DataError(f"{path}: expected a u8 mask, found dtype {dtype!r}")
-    try:
-        return PositiveMask(spec, values)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return load_grid(path, PositiveMask, "u8", "a u8 mask")

@@ -266,13 +266,14 @@ def write_recall_csv(path: str | os.PathLike, rows: Sequence[dict]) -> None:
 
 def recall_report_to_dict(report: RecallReport) -> dict:
     """JSON mirror of the CSV rows, with threshold keys stringified."""
-    thresholds = sorted(report.per_threshold_recall)
+    # Both are properties that rebuild their table on every read.
+    recall, per_class = report.per_threshold_recall, report.per_class_recall
+    thresholds = sorted(recall)
     return {
-        "per_threshold_recall": {repr(t): report.per_threshold_recall[t] for t in thresholds},
+        "per_threshold_recall": {repr(t): recall[t] for t in thresholds},
         "mean_average_recall": report.mean_average_recall,
         "per_class_recall": {
-            str(c): {repr(t): report.per_class_recall[c][t] for t in thresholds}
-            for c in sorted(report.per_class_recall)
+            str(c): {repr(t): per_class[c][t] for t in thresholds} for c in sorted(per_class)
         },
         "num_gt": report.num_gt,
         "num_pred": report.num_pred,

@@ -24,9 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .assignment import MatchConfig, MatchMetric, classify_stage
-from .bev_grid import (
-    BevGridSpec, GaussianRenderConfig, Heatmap, draw_gaussian_peak, gaussian_radius, radius_for_box,
-)
+from .bev_grid import BevGridSpec, GaussianRenderConfig, Heatmap, gaussian_radius, splat_centers
 from .errors import ConfigError, DataError, from_json
 from .geometry import BevBox, BoxColumns
 from .hip import CandidateColumns, HipConfig, MaskType, run_hip
@@ -274,8 +272,7 @@ def _clutter_free_cells(
     float operations as a per-cell scalar test, so the table agrees with it
     cell for cell.
     """
-    wx = spec.origin_x + np.arange(spec.size_x) * spec.cell_size
-    wy = spec.origin_y + np.arange(spec.size_y) * spec.cell_size
+    wx, wy = spec.grid_to_world((np.arange(spec.size_x), np.arange(spec.size_y)))
     free = np.ones(spec.shape, dtype=bool)
     for class_id, centers in centers_by_class.items():
         for px, py in centers:
@@ -293,11 +290,9 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
     """
     rng = _RawStream(np.random.default_rng(params.rng_seed).bit_generator)
     spec = params.spec
-    margin = spec.cell_size
-    x_lo = spec.origin_x + margin
-    x_hi = spec.origin_x + (spec.size_x - 1) * spec.cell_size - margin
-    y_lo = spec.origin_y + margin
-    y_hi = spec.origin_y + (spec.size_y - 1) * spec.cell_size - margin
+    x_lo, y_lo = spec.grid_to_world((1, 1))  # one cell in from every edge
+    x_hi, y_hi = spec.grid_to_world((spec.size_x - 1, spec.size_y - 1))
+    x_hi, y_hi = x_hi - spec.cell_size, y_hi - spec.cell_size
     if x_hi <= x_lo or y_hi <= y_lo:
         raise DataError("grid is too small to place objects inside a one-cell margin")
 
@@ -385,18 +380,12 @@ def oracle_stage_heatmap(
         gain = model.stage_gain ** stage
     except OverflowError:  # amplitudes are capped at 1, so this gain saturates them
         gain = math.inf
+    peaks = [  # a zero amplitude stays 0 at any gain
+        a if i in detected_so_far or not a else min(1.0, a * gain)
+        for i, a in enumerate(scene.amplitudes)
+    ]
     canvas = np.zeros(spec.shape, dtype=np.float64)
-    for i, gt in enumerate(scene.gts):
-        if not 0 <= gt.class_id < spec.num_classes:
-            raise ValueError(
-                f"ground truth {i} has class_id {gt.class_id} outside [0, {spec.num_classes})"
-            )
-        amp = scene.amplitudes[i]
-        if i not in detected_so_far and amp:  # a zero amplitude stays 0 at any gain
-            amp = min(1.0, amp * gain)
-        gx, gy = spec.world_to_grid((gt.cx, gt.cy))
-        radius = radius_for_box(gt, spec, render_cfg)
-        draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
+    splat_centers(canvas, scene.gts, peaks, spec, render_cfg)
     np.maximum.at(canvas.reshape(-1), cells, amplitudes)
     return Heatmap(spec, canvas)
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -316,7 +317,7 @@ class TestProbeCommand:
         out = tmp_path / "out"
         code = main([
             "probe", "--stage", paths[0], "--stage", paths[1],
-            "--output-dir", str(out), "--k-per-stage", "3,5",
+            "--output-dir", str(out), "--k", "3,5",
             "--mask-type", "pooling", "--small-classes", "1", "--pooling-kernel", "3",
         ])
         assert code == 0
@@ -333,7 +334,7 @@ class TestProbeCommand:
             outs[kernel] = tmp_path / f"out_{kernel}"
             assert main([
                 "probe", "--stage", paths[0], "--stage", paths[1],
-                "--output-dir", str(outs[kernel]), "--k-per-stage", "3,5",
+                "--output-dir", str(outs[kernel]), "--k", "3,5",
                 "--mask-type", "pooling", "--pooling-kernel", str(kernel),
             ]) == 0
         assert digest_dir(outs[1000000001]) == digest_dir(outs[spanning])
@@ -370,12 +371,8 @@ class TestProbeCommand:
             "probe", "--stage", paths[0], "--output-dir", out,
         ]) == 2
         assert main([
-            "probe", "--stage", paths[0], "--output-dir", out, "--k", "3",
-            "--k-per-stage", "3",
-        ]) == 2
-        assert main([
             "probe", "--stage", paths[0], "--stage", paths[1],
-            "--output-dir", out, "--k-per-stage", "3,4,5",
+            "--output-dir", out, "--k", "3,4,5",
         ]) == 2
         assert main([
             "probe", "--stage", paths[0], "--output-dir", out, "--k", "3",
@@ -388,6 +385,31 @@ class TestProbeCommand:
             "probe", "--stage", paths[0], "--output-dir", out, "--k", "3",
             "--mask-type", "pooling", "--pooling-kernel", "4",
         ]) == 2
+
+    def test_one_budget_applies_to_every_stage(self, tmp_path):
+        _, paths, _ = stage_files(tmp_path)
+        outs = {k: tmp_path / f"out_{k}" for k in ("3", "3,3")}
+        for k, out in outs.items():
+            assert main([
+                "probe", "--stage", paths[0], "--stage", paths[1],
+                "--output-dir", str(out), "--k", k,
+            ]) == 0
+        assert digest_dir(outs["3"]) == digest_dir(outs["3,3"])
+
+    @pytest.mark.parametrize("k, message", [
+        (None, "--k is required"),
+        ("3,4,5", "--k lists 3 budgets for 2 stage files"),
+        ("", "--k lists 0 budgets for 2 stage files"),
+        ("2.5", "--k: expected comma-separated integers, got '2.5'"),
+    ])
+    def test_bad_budget_list_exits_2(self, tmp_path, capsys, k, message):
+        _, paths, _ = stage_files(tmp_path)
+        out = tmp_path / "out"
+        argv = ["probe", "--stage", paths[0], "--stage", paths[1], "--output-dir", str(out)]
+        assert main(argv + ([] if k is None else [f"--k={k}"])) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("ids,outside", [("99", "[99]"), ("-1", "[-1]"), ("1,2,-3", "[-3, 2]")])
     def test_small_classes_outside_grid_exit_2(self, tmp_path, capsys, ids, outside):
@@ -483,8 +505,8 @@ FUZZ_POOL = [None, True, "x", math.nan, math.inf, -math.inf, -1, 0, 2.5, [], {},
 
 # Values for each `probe` flag, valid and not; a flag may also be left out.
 PROBE_FLAG_POOL = {
-    "--k": ["1", "3", "100", "0", "-1", "2.5", "x", ""],
-    "--k-per-stage": ["3,4", "1,100", "3", "3,4,5", "0,2", "-1,2", "a,b", ",", ""],
+    "--k": ["1", "3", "100", "0", "-1", "2.5", "x", "", "3,4", "1,100", "3,4,5", "0,2", "-1,2",
+            "a,b", ","],
     "--mask-type": ["point", "pooling", "box", "POINT", "x"],
     "--small-classes": ["0", "1", "0,1", "2", "-1", "99", "x", ","],
     "--pooling-kernel": ["1", "3", "5", "13", "2", "0", "-3", "x"],
@@ -870,6 +892,24 @@ class TestAuditCommand:
         assert (fn["cx"], fn["cy"]) == (10.0, 0.0)
         assert type(fn["cx"]) is float and type(fn["cy"]) is float
 
+    def test_thousand_classes_audit_in_linear_time(self, tmp_path):
+        # Reading per_class_recall, a property, once per (class, threshold)
+        # makes this quadratic in the class count: several seconds.
+        boxes = [{"cx": 10.0 * c, "cy": 0.0, "length": 4.0, "width": 2.0, "yaw": 0.0,
+                  "class_id": c} for c in range(1000)]
+        preds = [{**b, "score": 0.5} for b in boxes[::2]]
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(
+            {"scenes": [{"scene_id": "a", "predictions": preds, "ground_truth": boxes}]}
+        ))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out)]) == 0
+        assert time.perf_counter() - start < 3.0
+        rows = (out / "recall.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 1001
+        assert rows[-1] == "overall,999,4.0,0.0,1,0" and rows[-5] == "overall,998,4.0,1.0,1,1"
+
     def test_missing_dump_file(self, tmp_path):
         assert main([
             "audit", "--dump", str(tmp_path / "nope.json"),
@@ -971,6 +1011,16 @@ class TestReportCommand:
             runs.append(digest_dir(out))
         assert runs[0] == runs[1]
         assert "café,*," in (out / "recall_summary.csv").read_text(encoding="utf-8")
+
+    def test_arm_name_with_a_lone_surrogate_exits_3(self, tmp_path, capsys):
+        summary = simulated_summary()
+        summary["arms"]["\ud800"] = summary["arms"].pop("hip")
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))  # written as the ASCII escape \ud800
+        assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "arm '\\ud800'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"

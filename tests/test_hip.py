@@ -537,6 +537,14 @@ class TestCandidateSerialization:
             candidates_from_jsonl(record + ',"note":"a\u2028b"}\n')
 
 
+class TestCandidateColumns:
+    def test_one_column_per_field(self):
+        assert len(CandidateColumns(*[np.zeros(2)] * 7)) == 2
+        for count in (6, 8):
+            with pytest.raises((TypeError, ValueError)):
+                CandidateColumns(*[np.zeros(2)] * count)
+
+
 class TestMaskFiles:
     def test_roundtrip(self, tmp_path):
         spec = make_spec(5, 4, 2)

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -449,6 +450,21 @@ class TestReportSerialization:
             "0.5": 0.25, "1.0": 0.25, "2.0": 0.5, "4.0": 0.75
         }
         assert d["mean_average_recall"] == 0.4375
+
+    def test_thousand_class_report_serializes_in_linear_time(self):
+        # Reading per_class_recall, a property, once per (class, threshold)
+        # makes this quadratic in the class count: several seconds.
+        thresholds = (0.5, 1.0, 2.0, 4.0)
+        report = RecallReport(
+            num_gt=2000, num_pred=1000, num_matched=dict.fromkeys(thresholds, 1000),
+            per_class_gt=dict.fromkeys(range(1000), 2),
+            per_class_matched={c: dict.fromkeys(thresholds, c % 3) for c in range(1000)},
+        )
+        start = time.perf_counter()
+        d = recall_report_to_dict(report)
+        assert time.perf_counter() - start < 2.0
+        assert len(d["per_class_recall"]) == 1000
+        assert d["per_class_recall"]["998"] == dict.fromkeys(["0.5", "1.0", "2.0", "4.0"], 1.0)
 
     def test_report_is_plain_dataclass(self):
         preds, gts = ladder_fixture()

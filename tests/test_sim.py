@@ -17,6 +17,7 @@ from bevprobe.bev_grid import (
     Heatmap,
     draw_gaussian_peak,
     radius_for_box,
+    render_gaussian_heatmap,
 )
 from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox, center_distance
@@ -481,6 +482,16 @@ def two_object_scene():
 
 
 class TestOracleHeatmap:
+    def test_unit_amplitudes_at_stage_0_render_the_ground_truth(self):
+        # The oracle and render_gaussian_heatmap splat centers by one rule.
+        spec = make_spec()
+        gts = generate_scene(make_params(), make_model()).gts
+        scene = SyntheticScene(gts, (1.0,) * len(gts), ())
+        rendered, skipped = render_gaussian_heatmap(gts, spec)
+        assert skipped == 0 and len(gts) >= 4
+        oracle = oracle_stage_heatmap(scene, 0, frozenset(), make_model(), spec)
+        np.testing.assert_array_equal(oracle.values, rendered.values)
+
     def test_easy_peak_hits_one_exactly(self):
         spec = make_spec()
         scene = two_object_scene()

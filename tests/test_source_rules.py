@@ -41,3 +41,30 @@ def test_outside_json_has_one_decoder():
             calls[f"{path.name}:{line}"] = function
     assert list(calls.values()) == ["decode_json"], calls
     assert next(iter(calls)).startswith("errors.py:")
+
+
+GRID_ORIGINS = {"origin_x", "origin_y"}
+GRID_CALLS = {"read_grid_tensor", "draw_gaussian_peak"}
+
+
+def grid_rule_uses(tree):
+    """Each grid origin read, and each call of the grid-file reader or the
+    Gaussian splat, by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in GRID_ORIGINS:
+            yield node.attr
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in GRID_CALLS:
+                yield name
+
+
+def test_grid_rules_live_in_bev_grid():
+    # Cell placement in the world, the grid-file format and the splat have
+    # one home, so a copy in hip or sim cannot drift from it.
+    uses = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in grid_rule_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            uses.setdefault(path.name, set()).add(name)
+    assert uses == {"bev_grid.py": GRID_ORIGINS | GRID_CALLS}, uses
