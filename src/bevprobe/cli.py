@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -310,6 +311,10 @@ def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
     return scenes
 
 
+# The keys of each fn_inventory.json record; each after "index" names a BoxColumns column.
+_FN_FIELDS = ("index", "cx", "cy", "length", "width", "yaw", "class_id")
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
     try:
         recall_cfg = RecallConfig(
@@ -327,28 +332,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for scene_id, preds, gts in scenes:
         reports.append(average_recall(preds, gts, recall_cfg))
         fn_by_thr = false_negative_indices(preds, gts, recall_cfg)
-        cx, cy, length, width, yaw, class_id = (
-            col.tolist() for col in (gts.cx, gts.cy, gts.length, gts.width, gts.yaw, gts.class_id)
-        )
-        for t in recall_cfg.thresholds:
-            inventory.append(
-                {
-                    "scene_id": scene_id,
-                    "threshold": t,
-                    "false_negatives": [
-                        {
-                            "index": j,
-                            "cx": cx[j],
-                            "cy": cy[j],
-                            "length": length[j],
-                            "width": width[j],
-                            "yaw": yaw[j],
-                            "class_id": class_id[j],
-                        }
-                        for j in fn_by_thr[t]
-                    ],
-                }
-            )
+        columns = (getattr(gts, name).tolist() for name in _FN_FIELDS[1:])
+        rows = list(zip(range(len(gts)), *columns))
+        records = {j: dict(zip(_FN_FIELDS, rows[j])) for j in set().union(*fn_by_thr.values())}
+        inventory += [
+            {"scene_id": scene_id, "threshold": t,
+             "false_negatives": [records[j] for j in fn_by_thr[t]]}
+            for t in recall_cfg.thresholds
+        ]
     pooled = merge_reports(reports, recall_cfg)
     out = _output_dir(args)
     write_recall_csv(out / "recall.csv", recall_report_rows(pooled, scope="overall"))
@@ -358,7 +349,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     per_class = pooled.per_class_recall  # a property that builds the table on each read
     classes = sorted(per_class)
     if classes:
-        series = {f"d={t:g}m": [per_class[c][t] for c in classes] for t in recall_cfg.thresholds}
+        series = {}
+        for t in recall_cfg.thresholds:  # %g may print two thresholds alike; repr does not
+            label = f"{t:g}" if float(f"{t:g}") == t else repr(t)
+            series[f"d={label}m"] = [per_class[c][t] for c in classes]
         chart = grouped_bar_chart(
             [str(c) for c in classes],
             series,
@@ -368,6 +362,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
         _write_text(out / "classwise_recall.svg", chart)
     return 0
+
+
+# What XML 1.0 cannot hold, even escaped; JSON may spell each of these,
+# and a lone surrogate cannot be written as UTF-8 either.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -381,10 +380,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     series = {}
     rows = []
     for arm in sorted(arms):
-        try:  # JSON may spell a lone surrogate, which no output file can hold
-            arm.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(f"{summary_path}: arm {arm!r} cannot be written as UTF-8") from None
+        bad = _NOT_XML_CHAR.search(arm)
+        if bad:
+            raise DataError(f"{summary_path}: arm {arm!r} holds {bad[0]!r}, which SVG cannot hold")
         pooled = arms[arm].get("pooled") if isinstance(arms[arm], dict) else None
         if not isinstance(pooled, dict) or "per_threshold_recall" not in pooled:
             raise DataError(f"{summary_path}: arms.{arm} lacks pooled recall data")

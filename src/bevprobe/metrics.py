@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -89,28 +90,21 @@ def average_recall(
     Predictions may be heatmap candidates or scored boxes. The mean
     average recall is the plain mean of the per-threshold recalls.
     """
-    thresholds = cfg.thresholds
     if len(gts) == 0:
-        return RecallReport(0, len(preds), {t: 0 for t in thresholds})
+        return RecallReport(0, len(preds), {t: 0 for t in cfg.thresholds})
     gts = BoxColumns.of(gts)
     gt_cls = gts.class_id.tolist()
-    classes = sorted(set(gt_cls))
+    class_gt = dict(sorted(Counter(gt_cls).items()))
     _, per_threshold_pairs = match_thresholds(
-        preds, gts, thresholds, class_consistent=not cfg.class_agnostic
+        preds, gts, cfg.thresholds, class_consistent=not cfg.class_agnostic
     )
-    matched_counts: dict[float, int] = {}
-    class_matched: dict[int, dict[float, int]] = {c: {} for c in classes}
-    for t, pairs in zip(thresholds, per_threshold_pairs):
-        matched_counts[t] = len(pairs)
-        hit_cls = [gt_cls[j] for j, _i, _s in pairs]
-        for c in classes:
-            class_matched[c][t] = hit_cls.count(c)
+    hits = [Counter(gt_cls[j] for j, _i, _s in pairs) for pairs in per_threshold_pairs]
     return RecallReport(
         num_gt=len(gts),
         num_pred=len(preds),
-        num_matched=matched_counts,
-        per_class_gt={c: gt_cls.count(c) for c in classes},
-        per_class_matched=class_matched,
+        num_matched={t: len(pairs) for t, pairs in zip(cfg.thresholds, per_threshold_pairs)},
+        per_class_gt=class_gt,
+        per_class_matched={c: {t: h[c] for t, h in zip(cfg.thresholds, hits)} for c in class_gt},
     )
 
 
@@ -137,22 +131,19 @@ def merge_reports(
     associative and order-independent. Note the pooled mean average recall
     weights scenes by ground-truth count, unlike a mean of per-scene means.
     """
-    thresholds = cfg.thresholds
-    class_gt: dict[int, int] = {}
-    class_matched: dict[int, dict[float, int]] = {}
+    class_gt: Counter[int] = Counter()
+    class_matched: defaultdict[int, Counter[float]] = defaultdict(Counter)
     for r in reports:
-        for c, n in r.per_class_gt.items():
-            class_gt[c] = class_gt.get(c, 0) + n
-            bucket = class_matched.setdefault(c, {t: 0 for t in thresholds})
-            for t in thresholds:
-                bucket[t] += r.per_class_matched.get(c, {}).get(t, 0)
+        class_gt.update(r.per_class_gt)
+        for c in r.per_class_gt:
+            class_matched[c].update(r.per_class_matched.get(c, {}))
     classes = sorted(class_gt)
     return RecallReport(
         num_gt=sum(r.num_gt for r in reports),
         num_pred=sum(r.num_pred for r in reports),
-        num_matched={t: sum(r.num_matched.get(t, 0) for r in reports) for t in thresholds},
+        num_matched={t: sum(r.num_matched.get(t, 0) for r in reports) for t in cfg.thresholds},
         per_class_gt={c: class_gt[c] for c in classes},
-        per_class_matched={c: class_matched[c] for c in classes},
+        per_class_matched={c: {t: class_matched[c][t] for t in cfg.thresholds} for c in classes},
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bevprobe.cli import load_detection_dump
+from bevprobe.cli import load_detection_dump, main
 from bevprobe.errors import DataError
 from bevprobe.geometry import BevBox, BoxColumns
 from bevprobe.metrics import (
@@ -268,3 +268,56 @@ class TestMetricsOnColumns:
                 pred_rows, gt_rows, threshold, class_consistent=not class_agnostic
             )
             assert repr(got) == repr(want)
+
+
+def fn_inventory_oracle(path, cfg):
+    """fn_inventory.json's content built one record per false negative and
+    threshold, from the loaded dump and ``false_negative_indices``."""
+    inventory = []
+    for scene_id, preds, gts in load_detection_dump(path):
+        fns = false_negative_indices(preds, gts, cfg)
+        for t in cfg.thresholds:
+            records = []
+            for j in fns[t]:
+                g = gts[j]
+                records.append({"index": j, "cx": g.cx, "cy": g.cy, "length": g.length,
+                                "width": g.width, "yaw": g.yaw, "class_id": g.class_id})
+            inventory.append({"scene_id": scene_id, "threshold": t, "false_negatives": records})
+    return inventory
+
+
+@st.composite
+def near_miss_dumps(draw):
+    """Dumps whose predictions sit at lattice offsets from some ground
+    truths, so every threshold leaves a different set unmatched."""
+    scenes = []
+    for i in range(draw(st.integers(1, 3))):
+        gts = draw(st.lists(box_records(False), max_size=8))
+        preds = [
+            {**g, "cx": g["cx"] + draw(st.sampled_from([0, 0.3, 0.8, 1.5, 3.0, 9.0])),
+             "class_id": draw(st.sampled_from([g.get("class_id", 0), 0])),
+             "score": draw(st.floats(0.0, 1.0))}
+            for g in gts if draw(st.booleans())
+        ]
+        preds += draw(st.lists(box_records(True), max_size=3))
+        scenes.append({"scene_id": f"s{i}", "predictions": preds, "ground_truth": gts})
+    return {"scenes": scenes}
+
+
+class TestFalseNegativeInventory:
+    @settings(max_examples=150, deadline=None)
+    @given(dump=near_miss_dumps(), class_agnostic=st.booleans(),
+           thresholds=st.sampled_from(["0.5,1,2,4", "0.1,0.3,2", "1"]))
+    def test_file_equals_per_record_oracle(self, tmp_path_factory, dump, class_agnostic,
+                                           thresholds):
+        tmp = Path(tmp_path_factory.mktemp("audit"))
+        path = tmp / "dump.json"
+        path.write_text(json.dumps(dump))
+        argv = ["audit", "--dump", str(path), "--output-dir", str(tmp / "o"),
+                "--thresholds", thresholds] + ["--class-agnostic"] * class_agnostic
+
+        assert main(argv) == 0
+
+        cfg = RecallConfig([float(t) for t in thresholds.split(",")], class_agnostic)
+        want = json.dumps(fn_inventory_oracle(path, cfg), indent=2, sort_keys=True) + "\n"
+        assert (tmp / "o" / "fn_inventory.json").read_text(encoding="utf-8") == want

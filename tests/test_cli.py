@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import xml.dom.minidom
 from importlib import resources
 from pathlib import Path
 
@@ -910,6 +912,20 @@ class TestAuditCommand:
         assert len(rows) == 1 + 4 * 1001
         assert rows[-1] == "overall,999,4.0,0.0,1,0" and rows[-5] == "overall,998,4.0,1.0,1,1"
 
+    @pytest.mark.parametrize("thresholds, labels", [
+        ("0.5,1,2,4", ["d=0.5m", "d=1m", "d=2m", "d=4m"]),
+        # Distinct thresholds that %g prints alike keep one series each.
+        ("1.0000001,1.0000002,4", ["d=1.0000001m", "d=1.0000002m", "d=4m"]),
+    ])
+    def test_chart_has_one_series_per_threshold(self, tmp_path, thresholds, labels):
+        path, _ = detection_dump(tmp_path)
+        out = tmp_path / "out"
+        assert main(["audit", "--dump", str(path), "--output-dir", str(out),
+                     "--thresholds", thresholds]) == 0
+        svg = xml.dom.minidom.parseString((out / "classwise_recall.svg").read_bytes())
+        texts = [t.firstChild.data for t in svg.getElementsByTagName("text") if t.firstChild]
+        assert [t for t in texts if t.startswith("d=")] == labels
+
     def test_missing_dump_file(self, tmp_path):
         assert main([
             "audit", "--dump", str(tmp_path / "nope.json"),
@@ -1022,6 +1038,35 @@ class TestReportCommand:
         assert "arm '\\ud800'" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    # XML 1.0 cannot hold these even escaped, so no SVG can show such an arm.
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                      "\ufffe", "\uffff"])
+    def test_arm_name_that_xml_cannot_hold_exits_3(self, tmp_path, capsys, char):
+        summary = simulated_summary()
+        summary["arms"][f"a{char}"] = summary["arms"].pop("hip")
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"arm {f'a{char}'!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(arm=st.text())
+    def test_any_arm_name_exits_3_or_writes_well_formed_svg(self, arm):
+        summary = simulated_summary()
+        summary["arms"][arm] = summary["arms"].pop("hip")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "summary.json"
+            path.write_text(json.dumps(summary))
+            out = Path(tmp) / "o"
+            code, err = run_quietly(["report", "--summary", str(path), "--output-dir", str(out)])
+            assert code in (0, 3), err
+            if code == 0:
+                xml.dom.minidom.parseString((out / "recall_curve.svg").read_bytes())
+            else:
+                assert "Traceback" not in err and not out.exists()
+
     def test_summary_without_arms(self, tmp_path):
         path = tmp_path / "summary.json"
         path.write_text(json.dumps({"mean_delta": 0.5}))
@@ -1111,3 +1156,18 @@ class TestEntryPoint:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "probe" in proc.stdout
+
+    def test_packaged_entry_point_runs(self, monkeypatch, capsys):
+        # What the installed console script would run, resolved from the
+        # packaging metadata rather than found on PATH.
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["bevprobe"]
+        assert target == "bevprobe.cli:main"
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        monkeypatch.setattr(sys, "argv", ["bevprobe", "--help"])
+        with pytest.raises(SystemExit) as exc_info:
+            entry()
+        assert exc_info.value.code == 0
+        assert "probe" in capsys.readouterr().out

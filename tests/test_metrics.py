@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevprobe.assignment import MatchConfig, classify_stage
-from bevprobe.geometry import BevBox
+from bevprobe.assignment import MatchConfig, classify_stage, match_thresholds
+from bevprobe.geometry import BevBox, BoxColumns
 from bevprobe.metrics import (
     ApResult,
     RecallConfig,
@@ -230,6 +230,97 @@ class TestDerivedRecalls:
         merged = merge_reports(reports, cfg)
         assert derived(merged) == stored_recalls(reports, cfg.thresholds)
         assert list(merged.per_threshold_recall) == list(cfg.thresholds)
+
+
+def average_recall_oracle(preds, gts, cfg):
+    """Counts by one pass per (class, threshold): the loop ``average_recall``
+    replaced with counters, kept as an oracle."""
+    thresholds = cfg.thresholds
+    if len(gts) == 0:
+        return RecallReport(0, len(preds), {t: 0 for t in thresholds})
+    gts = BoxColumns.of(gts)
+    gt_cls = gts.class_id.tolist()
+    classes = sorted(set(gt_cls))
+    _, per_threshold_pairs = match_thresholds(
+        preds, gts, thresholds, class_consistent=not cfg.class_agnostic
+    )
+    matched_counts = {}
+    class_matched = {c: {} for c in classes}
+    for t, pairs in zip(thresholds, per_threshold_pairs):
+        matched_counts[t] = len(pairs)
+        hit_cls = [gt_cls[j] for j, _i, _s in pairs]
+        for c in classes:
+            class_matched[c][t] = hit_cls.count(c)
+    return RecallReport(
+        num_gt=len(gts),
+        num_pred=len(preds),
+        num_matched=matched_counts,
+        per_class_gt={c: gt_cls.count(c) for c in classes},
+        per_class_matched=class_matched,
+    )
+
+
+def merge_reports_oracle(reports, cfg):
+    """Pooled counts by per-class buckets: the loop ``merge_reports``
+    replaced with counters, kept as an oracle."""
+    thresholds = cfg.thresholds
+    class_gt, class_matched = {}, {}
+    for r in reports:
+        for c, n in r.per_class_gt.items():
+            class_gt[c] = class_gt.get(c, 0) + n
+            bucket = class_matched.setdefault(c, {t: 0 for t in thresholds})
+            for t in thresholds:
+                bucket[t] += r.per_class_matched.get(c, {}).get(t, 0)
+    classes = sorted(class_gt)
+    return RecallReport(
+        num_gt=sum(r.num_gt for r in reports),
+        num_pred=sum(r.num_pred for r in reports),
+        num_matched={t: sum(r.num_matched.get(t, 0) for r in reports) for t in thresholds},
+        per_class_gt={c: class_gt[c] for c in classes},
+        per_class_matched={c: class_matched[c] for c in classes},
+    )
+
+
+@st.composite
+def class_band_scenes(draw):
+    """Predictions and ground truth on a half-meter lattice, each scene's
+    classes drawn from its own band of up to 50 ids, so scenes may share
+    classes or not, and predictions may name classes no ground truth has."""
+    low = draw(st.integers(0, 50))
+    classes = st.integers(low, low + draw(st.integers(0, 49)))
+    coord = st.integers(-8, 8).map(lambda v: v * 0.5)
+
+    def boxes(scored):
+        return st.lists(
+            st.builds(
+                lambda cx, cy, c, score: BevBox(cx, cy, 4.0, 2.0, 0.0, c, score=score),
+                coord, coord, classes, st.floats(0.0, 1.0) if scored else st.none(),
+            ),
+            max_size=30,
+        )
+
+    return draw(boxes(True)), draw(boxes(False))
+
+
+class TestCountingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scenes=st.lists(class_band_scenes(), max_size=4),
+        class_agnostic=st.booleans(),
+        thresholds=st.sampled_from([(0.5, 1.0, 2.0, 4.0), (0.1, 0.3, 2.0), (1.0,)]),
+    )
+    def test_counts_equal_per_class_loops(self, scenes, class_agnostic, thresholds):
+        cfg = RecallConfig(thresholds, class_agnostic=class_agnostic)
+        reports = []
+        for preds, gts in scenes:
+            report = average_recall(preds, gts, cfg)
+            # repr also pins key order and int counts, which the artifacts show.
+            assert repr(report) == repr(average_recall_oracle(preds, gts, cfg))
+            reports.append(report)
+        assert repr(merge_reports(reports, cfg)) == repr(merge_reports_oracle(reports, cfg))
+        for split in range(len(reports) + 1):
+            parts = [merge_reports(reports[:split], cfg), merge_reports(reports[split:], cfg)]
+            assert repr(merge_reports(parts, cfg)) == repr(merge_reports_oracle(reports, cfg))
 
 
 class TestClasswiseRecall:

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import bevprobe
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bevprobe"
 
 
@@ -68,3 +70,15 @@ def test_grid_rules_live_in_bev_grid():
         for name in grid_rule_uses(ast.parse(path.read_text(encoding="utf-8"))):
             uses.setdefault(path.name, set()).add(name)
     assert uses == {"bev_grid.py": GRID_ORIGINS | GRID_CALLS}, uses
+
+
+def test_public_names_are_the_names_init_imports():
+    # __all__ and the imports of __init__.py list the public names twice;
+    # a name added to one and not the other would drift out of the API.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(bevprobe.__all__) == sorted(imported)
