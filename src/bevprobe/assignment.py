@@ -40,8 +40,8 @@ class MatchConfig:
     eta: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.metric is MatchMetric.CENTER_DISTANCE and not self.eta > 0.0:
-            raise ValueError(f"distance threshold must be positive, got {self.eta}")
+        if self.metric is MatchMetric.CENTER_DISTANCE and not 0.0 < self.eta < np.inf:
+            raise ValueError(f"distance threshold must be finite and positive, got {self.eta}")
         if self.metric is MatchMetric.ROTATED_IOU and not 0.0 < self.eta < 1.0:
             raise ValueError(f"IoU threshold must lie in (0, 1), got {self.eta}")
 
@@ -126,26 +126,23 @@ def prediction_columns(preds: Sequence) -> CandidateColumns | BoxColumns:
 
 def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) -> np.ndarray:
     """Pairwise similarity between predictions (rows) and ground truth."""
-    n_pred, n_gt = len(preds), len(gts)
-    if metric is MatchMetric.CENTER_DISTANCE:
-        preds, gts = prediction_columns(preds), BoxColumns.of(gts)
-        if isinstance(preds, CandidateColumns):
-            px, py = preds.world_x, preds.world_y
-        else:
-            px, py = preds.cx, preds.cy
-        px = px.astype(np.float64, copy=False)[:, None]
-        py = py.astype(np.float64, copy=False)[:, None]
-        # Centers far apart may overflow to an infinite distance, which
-        # never matches: the right answer, so no warning.
-        with np.errstate(over="ignore"):
-            return np.hypot(px - gts.cx, py - gts.cy)
-    out = np.zeros((n_pred, n_gt))
-    for i, p in enumerate(preds):
-        if not isinstance(p, BevBox):
+    if metric is MatchMetric.ROTATED_IOU:
+        pred_rows, gt_rows = tuple(preds), tuple(gts)  # each side's rows, built once
+        if not all(isinstance(p, BevBox) for p in pred_rows):
             raise ValueError("IoU matching requires box predictions")
-        for j, g in enumerate(gts):
-            out[i, j] = rotated_iou_bev(p, g)
-    return out
+        iou = [[rotated_iou_bev(p, g) for g in gt_rows] for p in pred_rows]
+        return np.array(iou, dtype=np.float64).reshape(len(pred_rows), len(gt_rows))
+    preds, gts = prediction_columns(preds), BoxColumns.of(gts)
+    if isinstance(preds, CandidateColumns):
+        px, py = preds.world_x, preds.world_y
+    else:
+        px, py = preds.cx, preds.cy
+    px = px.astype(np.float64, copy=False)[:, None]
+    py = py.astype(np.float64, copy=False)[:, None]
+    # Centers far apart may overflow to an infinite distance, which never
+    # matches: the right answer, so no warning.
+    with np.errstate(over="ignore"):
+        return np.hypot(px - gts.cx, py - gts.cy)
 
 
 def match_thresholds(
@@ -194,15 +191,15 @@ def classify_stage(
     (defaults to all); indices matched by earlier stages should be excluded
     by the caller. Class-consistent, one-to-one, score-greedy.
     """
-    if remaining is None:
-        claimable = list(range(len(gts)))
-        sub_gts = gts
-    else:
-        claimable = sorted(set(int(i) for i in remaining))
-        for j in claimable:
-            if not 0 <= j < len(gts):
-                raise ValueError(f"remaining index {j} outside the ground-truth list")
-        sub_gts = [gts[j] for j in claimable]
+    remaining = list(range(len(gts)) if remaining is None else remaining)
+    for i in remaining:  # int() would read True as 1 and 1.7 as 1
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"remaining entry {i!r} is not an integer index")
+    claimable = sorted(set(map(int, remaining)))
+    for j in claimable:
+        if not 0 <= j < len(gts):
+            raise ValueError(f"remaining index {j} outside the ground-truth list")
+    sub_gts = BoxColumns.of(gts)[np.array(claimable, dtype=np.intp)]
     _, (pairs,) = match_thresholds(candidates, sub_gts, (cfg.eta,), cfg.metric)
     matched = tuple((claimable[j], i, s) for j, i, s in pairs)
     tp = frozenset(p[0] for p in matched)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bev_grid import load_heatmap
 from .errors import BevProbeError, ConfigError, DataError, decode_json, typed
-from .geometry import BevBox, BoxColumns
+from .geometry import BoxColumns
 from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
     RecallConfig,
@@ -209,10 +209,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     box_provider = None
     if mtype is MaskType.BOX:
         def box_provider(cands):
-            return [
-                BevBox(c.world_x, c.world_y, args.box_length, args.box_width, 0.0, c.class_id)
-                for c in cands
-            ]
+            n = len(cands)
+            size = np.full(n, args.box_length), np.full(n, args.box_width)
+            return BoxColumns(cands.world_x, cands.world_y, *size, np.zeros(n), cands.class_id)
 
     result = run_hip(heatmaps, cfg, spec, box_provider=box_provider)
     out = _output_dir(args)

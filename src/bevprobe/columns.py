@@ -16,9 +16,9 @@ class RowColumns(Sequence):
     builds one row from Python scalars, and ``_noun``, what its repr counts.
 
     Indexing and iteration build rows whose fields are Python scalars; a
-    slice stays columnar. Two instances of one class are equal when every
-    column holds the same values, NaN equal to NaN. Pickling ships the
-    arrays.
+    slice or an integer index array stays columnar. Two instances of one
+    class are equal when every column holds the same values, NaN equal to
+    NaN. Pickling ships the arrays.
     """
 
     __slots__ = ()
@@ -56,7 +56,7 @@ class RowColumns(Sequence):
         return len(getattr(self, self._fields[0]))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, slice) or np.ndim(index) == 1:
             return type(self)(*(getattr(self, f)[index] for f in self._fields))
         return self._row(*(getattr(self, f)[index].item() for f in self._fields))
 

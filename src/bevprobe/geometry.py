@@ -33,6 +33,18 @@ def normalize_yaw(yaw: float) -> float:
     return y
 
 
+def box_corners(cx, cy, length, width, yaw):
+    """Heading cosine and sine, and corners in counter-clockwise order, of
+    one box (floats; corners (4, 2)) or a column of boxes (arrays; corners
+    (4, 2, n)): ``math.cos``/``math.sin`` per yaw, then the same float
+    operations in the same order, so a box and its column row agree bit for bit."""
+    c, s = (np.array(list(map(f, yaw.tolist()))) if np.ndim(yaw) else f(yaw)
+            for f in (math.cos, math.sin))
+    hl, hw = 0.5 * length, 0.5 * width
+    local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    return c, s, np.array([(cx + c * u - s * v, cy + s * u + c * v) for u, v in local])
+
+
 @dataclass(frozen=True)
 class BevBox:
     """Rotated ground-plane box with class id and optional detection score.
@@ -57,6 +69,9 @@ class BevBox:
             )
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
     @property
@@ -65,15 +80,11 @@ class BevBox:
 
     def corners(self) -> np.ndarray:
         """Corner coordinates in counter-clockwise order, shape (4, 2)."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-        return np.array(
-            [(self.cx + c * u - s * v, self.cy + s * u + c * v) for u, v in local]
-        )
+        return box_corners(self.cx, self.cy, self.length, self.width, self.yaw)[2]
 
 
 _BOX_FIELDS = tuple(f.name for f in fields(BevBox))
+_FINITE_FIELDS = _BOX_FIELDS[:5]  # cx, cy, length, width, yaw: checked in this order
 _BOX_DTYPES = tuple(np.int64 if name == "class_id" else np.float64 for name in _BOX_FIELDS)
 
 
@@ -87,9 +98,9 @@ class BoxColumns(RowColumns):
     :class:`RowColumns`. A box without a score (ground truth) holds NaN in
     the ``score`` column.
 
-    Construction applies ``BevBox``'s rules to every row: positive
-    footprints, scores in [0, 1], a yaw that is not infinite, wrapped into
-    (-pi, pi] exactly as :func:`normalize_yaw` does.
+    Construction applies ``BevBox``'s rules to every row, in its order:
+    positive footprints, scores in [0, 1], finite numbers, and a yaw
+    wrapped into (-pi, pi] exactly as :func:`normalize_yaw` does.
     """
 
     __slots__ = _fields = _BOX_FIELDS
@@ -111,9 +122,9 @@ class BoxColumns(RowColumns):
         scored = np.isnan(s) | ((0.0 <= s) & (s <= 1.0))
         if not scored.all():
             raise ValueError(f"score must lie in [0, 1], got {s[int(np.argmin(scored))]}")
-        infinite = np.isinf(self.yaw)
-        if infinite.any():
-            normalize_yaw(float(self.yaw[infinite][0]))  # raises the error a BevBox would
+        finite = np.isfinite([getattr(self, f) for f in _FINITE_FIELDS]).all(axis=0)
+        if not finite.all():
+            self[int(np.argmin(finite))]  # the first such row, whose BevBox raises
         # normalize_yaw over the column: the same fmod and the same branches.
         y = np.fmod(self.yaw, _TWO_PI)
         y = np.where(y <= -math.pi, y + _TWO_PI, np.where(y > math.pi, y - _TWO_PI, y))

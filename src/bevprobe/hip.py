@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -23,7 +22,7 @@ import numpy as np
 from .bev_grid import BevGridSpec, Heatmap, frozen_grid, load_grid, write_grid_tensor
 from .columns import RowColumns
 from .errors import BevProbeError, DataError, decode_json, from_json
-from .geometry import BevBox
+from .geometry import BevBox, BoxColumns, box_corners
 
 
 class MaskType(enum.Enum):
@@ -213,29 +212,24 @@ _RASTER_CHUNK_CELLS = 1 << 20
 
 
 def _rasterize_boxes(
-    bits: np.ndarray, classes: np.ndarray, boxes: Sequence[BevBox], spec: BevGridSpec
+    bits: np.ndarray, classes: np.ndarray, boxes: BoxColumns, spec: BevGridSpec
 ) -> None:
     """Set bits[class] for every cell whose sample point lies in its box.
 
     Containment is inclusive of the boundary; cells outside the grid are
     ignored. Each box is tested only inside the clipped bounding window of
-    its ``BevBox.corners`` with a per-box point-in-box test, so the result
+    its ``box_corners`` with a per-box point-in-box test, so the result
     does not depend on how boxes are batched.
     """
-    corners = np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4, 2)
+    c, s, corners = box_corners(boxes.cx, boxes.cy, boxes.length, boxes.width, boxes.yaw)
     if not np.isfinite(corners).all():
         raise ValueError("box corners must be finite")
-    geo = np.array(
-        [(b.cx, b.cy, b.length, b.width, math.cos(b.yaw), math.sin(b.yaw)) for b in boxes],
-        dtype=np.float64,
-    ).reshape(-1, 6)
-    cx, cy, length, width, c, s = geo.T
-    hl, hw = 0.5 * length, 0.5 * width
-    gx, gy = spec.world_to_grid((corners[:, :, 0], corners[:, :, 1]))
-    x0 = np.maximum(0.0, np.floor(gx.min(axis=1)))
-    x1 = np.minimum(spec.size_x - 1.0, np.ceil(gx.max(axis=1)))
-    y0 = np.maximum(0.0, np.floor(gy.min(axis=1)))
-    y1 = np.minimum(spec.size_y - 1.0, np.ceil(gy.max(axis=1)))
+    cx, cy, hl, hw = boxes.cx, boxes.cy, 0.5 * boxes.length, 0.5 * boxes.width
+    gx, gy = spec.world_to_grid((corners[:, 0], corners[:, 1]))
+    x0 = np.maximum(0.0, np.floor(gx.min(axis=0)))
+    x1 = np.minimum(spec.size_x - 1.0, np.ceil(gx.max(axis=0)))
+    y0 = np.maximum(0.0, np.floor(gy.min(axis=0)))
+    y1 = np.minimum(spec.size_y - 1.0, np.ceil(gy.max(axis=0)))
     keep = np.flatnonzero((x0 <= x1) & (y0 <= y1))
     x0, x1, y0, y1 = (a[keep].astype(np.int64) for a in (x0, x1, y0, y1))
     cx, cy, hl, hw, c, s, classes = (a[keep] for a in (cx, cy, hl, hw, c, s, classes))
@@ -332,7 +326,7 @@ def build_positive_mask(
             raise ValueError("box masking requires a predicted box per candidate")
         if len(boxes) != n:
             raise ValueError(f"{n} candidates but {len(boxes)} predicted boxes")
-        _rasterize_boxes(bits, cls, boxes, spec)
+        _rasterize_boxes(bits, cls, BoxColumns.of(boxes), spec)
     return PositiveMask(spec, bits)
 
 
@@ -386,9 +380,9 @@ def run_hip(
     ``stage_source`` is either a sequence of exactly ``cfg.num_stages``
     heatmaps or a callable ``(stage, candidates_so_far) -> Heatmap``,
     which receives the earlier stages' selections as one
-    ``CandidateColumns``. BOX
-    masking additionally needs ``box_provider`` mapping a stage's
-    candidates to one predicted box each. A source's ConfigError or
+    ``CandidateColumns``. BOX masking additionally needs ``box_provider``
+    mapping a stage's candidates to one predicted box each, as one
+    ``BoxColumns`` or a sequence of ``BevBox``. A source's ConfigError or
     DataError propagates unchanged; any other source error is re-raised as
     RuntimeError with the failing stage identified.
     """
@@ -418,9 +412,7 @@ def run_hip(
             raise ValueError(f"stage {stage}: heatmap grid spec differs from the run's")
         masked = apply_mask(hm, accumulated)
         result = topk_select(hm, accumulated, cfg.k_per_stage[stage], stage=stage)
-        boxes = None
-        if cfg.mask_type is MaskType.BOX:
-            boxes = list(box_provider(result.columns))
+        boxes = box_provider(result.columns) if cfg.mask_type is MaskType.BOX else None
         try:
             stage_mask = build_positive_mask(result.columns, cfg, spec, boxes=boxes)
         except ValueError as exc:

@@ -13,12 +13,12 @@ import csv
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .assignment import match_thresholds
+from .assignment import match_thresholds, prediction_columns
 from .geometry import BevBox, BoxColumns
 
 
@@ -113,13 +113,18 @@ def classwise_recall(
     gts: Sequence[BevBox],
     cfg: RecallConfig = RecallConfig(),
 ) -> dict[int, RecallReport]:
-    """Independent recall report per ground-truth class."""
-    out: dict[int, RecallReport] = {}
-    for c in sorted(set(int(g.class_id) for g in gts)):
-        sub_gts = [g for g in gts if g.class_id == c]
-        sub_preds = [p for p in preds if int(p.class_id) == c]
-        out[c] = average_recall(sub_preds, sub_gts, cfg)
-    return out
+    """Independent recall report per ground-truth class. Same-class matching
+    never pairs across classes, so one class-consistent matching holds every
+    class's counts, whatever ``cfg.class_agnostic`` says."""
+    preds, gts = prediction_columns(preds), BoxColumns.of(gts)
+    num_pred = Counter(preds.class_id.tolist())
+    preds = preds[np.flatnonzero(np.isin(preds.class_id, gts.class_id))]
+    table = average_recall(preds, gts, replace(cfg, class_agnostic=False))
+    matched = table.per_class_matched
+    return {
+        c: RecallReport(n, num_pred[c], dict(matched[c]), {c: n}, {c: matched[c]})
+        for c, n in table.per_class_gt.items()
+    }
 
 
 def merge_reports(
@@ -187,8 +192,8 @@ def ap_center_distance(
     AP integrates the upper precision envelope over recall. Zero ground
     truth yields NaN (flagged); zero predictions yield 0 (flagged).
     """
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"distance threshold must be finite and positive, got {threshold}")
     if len(gts) == 0:
         return ApResult(math.nan, 0, len(preds), no_gt=True)
     if len(preds) == 0:
@@ -197,8 +202,7 @@ def ap_center_distance(
         preds, gts, (threshold,), class_consistent=class_consistent
     )
     is_tp = np.zeros(len(preds), dtype=bool)
-    for _j, i, _s in pairs:
-        is_tp[i] = True
+    is_tp[[i for _j, i, _s in pairs]] = True
     order = np.argsort(-scores, kind="stable")
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])
@@ -206,13 +210,9 @@ def ap_center_distance(
     precision = tp / (tp + fp)
     # Upper envelope of precision, integrated over recall increments.
     mrec = np.concatenate(([0.0], recall))
-    mpre = np.concatenate(([0.0], precision))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(1, len(mrec)):
-        if mrec[i] > mrec[i - 1]:
-            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision))[::-1])[::-1]
+    # Summed left to right, as a loop would; a zero recall step adds 0.0.
+    ap = np.add.accumulate(np.diff(mrec) * mpre[1:])[-1]
     return ApResult(float(ap), len(gts), len(preds))
 
 

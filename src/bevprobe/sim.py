@@ -150,8 +150,8 @@ class DetectabilityModel:
             raise ValueError("clutter_clearance must be positive")
         if not math.isfinite(self.clutter_clearance * self.clutter_clearance):
             raise ValueError(f"clutter_clearance {self.clutter_clearance:g} m has no finite square")
-        if not self.detect_eta > 0.0:
-            raise ValueError("detect_eta must be positive")
+        if not 0.0 < self.detect_eta < math.inf:
+            raise ValueError(f"detect_eta must be finite and positive, got {self.detect_eta}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bevprobe.assignment import (
     AssignmentConfig,
     MatchConfig,
     MatchMetric,
+    StageAssignment,
     assign_with_gate,
     classify_stage,
     gated_cost_matrix,
@@ -20,7 +22,7 @@ from bevprobe.assignment import (
     prediction_columns,
     sigma_matrix,
 )
-from bevprobe.geometry import BevBox, BoxColumns
+from bevprobe.geometry import BevBox, BoxColumns, rotated_iou_bev
 from bevprobe.hip import Candidate, CandidateColumns
 
 RNG = np.random.default_rng
@@ -79,11 +81,52 @@ def naive_greedy(sigma, scores, pred_cls, gt_cls, eta, larger_is_better, class_c
     return pairs
 
 
+def iou_sigma_oracle(preds, gts):
+    """The pair loop of the IoU ``sigma_matrix``, which read the ground
+    truth once per prediction, kept as an oracle."""
+    out = np.zeros((len(preds), len(gts)))
+    for i, p in enumerate(preds):
+        if not isinstance(p, BevBox):
+            raise ValueError("IoU matching requires box predictions")
+        for j, g in enumerate(gts):
+            out[i, j] = rotated_iou_bev(p, g)
+    return out
+
+
+def classify_subset_oracle(candidates, gts, cfg, remaining, stage=0):
+    """``classify_stage`` with ``remaining`` as it read the subset into a
+    row list, kept as an oracle."""
+    claimable = sorted(set(int(i) for i in remaining))
+    sub_gts = [gts[j] for j in claimable]
+    _, (pairs,) = match_thresholds(candidates, sub_gts, (cfg.eta,), cfg.metric)
+    matched = tuple((claimable[j], i, s) for j, i, s in pairs)
+    tp = frozenset(p[0] for p in matched)
+    return StageAssignment(stage, matched, tp, frozenset(claimable) - tp)
+
+
+@st.composite
+def overlapping_boxes(draw, scored, max_size=7):
+    """Boxes on a half-meter lattice with few sizes and headings, so IoU
+    and distance ties are common."""
+    coord = st.integers(-4, 4).map(lambda v: v * 0.5)
+    yaw = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]),
+                    st.floats(-math.pi, math.pi))
+    score = st.sampled_from([0.25, 0.5, 1.0]) if scored else st.none()
+    return draw(st.lists(
+        st.builds(BevBox, coord, coord, st.sampled_from([1.0, 2.0, 4.0]),
+                  st.sampled_from([1.0, 2.0]), yaw, st.integers(0, 2), score),
+        max_size=max_size,
+    ))
+
+
 class TestConfigs:
     def test_distance_threshold_positive(self):
         MatchConfig(MatchMetric.CENTER_DISTANCE, 2.0)
         with pytest.raises(ValueError):
             MatchConfig(MatchMetric.CENTER_DISTANCE, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="distance threshold must be finite and positive"):
+                MatchConfig(MatchMetric.CENTER_DISTANCE, bad)
 
     def test_iou_threshold_open_interval(self):
         MatchConfig(MatchMetric.ROTATED_IOU, 0.5)
@@ -189,6 +232,44 @@ class TestClassifyStage:
     def test_remaining_out_of_range(self):
         with pytest.raises(ValueError):
             classify_stage([], [gt(0, 0)], remaining=[1])
+
+    @pytest.mark.parametrize(
+        "remaining",
+        [[True, False], [False], [1.7], [0, 1.0], [np.bool_(True)], [None], ["0"],
+         np.array([True, False])],
+    )
+    def test_remaining_entry_that_is_no_integer_rejected(self, remaining):
+        # int() would read True as ground truth 1 and truncate 1.7 to 1.
+        gts = [gt(0, 0), gt(10, 0)]
+        bad = next(i for i in remaining if type(i) not in (int, np.int64))
+        with pytest.raises(ValueError, match=re.escape(f"remaining entry {bad!r}")):
+            classify_stage([pred(10.0, 0.0)], gts, remaining=remaining)
+
+    def test_remaining_accepts_numpy_integers(self):
+        gts = [gt(0, 0), gt(10, 0), gt(20, 0)]
+        preds = [pred(0.1, 0.0, score=0.9), pred(10.1, 0.0, score=0.8)]
+        for remaining in ([np.int64(1), np.int32(2)], np.array([2, 1]), (np.uint8(1), 2)):
+            out = classify_stage(preds, gts, remaining=remaining)
+            assert out.tp_gt == frozenset({1}) and out.fn_gt == frozenset({2})
+            assert all(type(v) is int for pair in out.matched_pairs for v in pair[:2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        preds=overlapping_boxes(scored=True),
+        gts=overlapping_boxes(scored=False),
+        data=st.data(),
+        metric=st.sampled_from(list(MatchMetric)),
+        as_columns=st.booleans(),
+    )
+    def test_remaining_subset_equals_row_list(self, preds, gts, data, metric, as_columns):
+        index = st.integers(0, max(len(gts) - 1, 0))
+        remaining = data.draw(st.lists(index | index.map(np.int64), max_size=9 if gts else 0))
+        cfg = MatchConfig(metric, 0.3 if metric is MatchMetric.ROTATED_IOU else 1.0)
+        args = (BoxColumns.of(preds), BoxColumns.of(gts)) if as_columns else (preds, gts)
+
+        got = classify_stage(*args, cfg, remaining=remaining, stage=2)
+
+        assert repr(got) == repr(classify_subset_oracle(preds, gts, cfg, remaining, stage=2))
 
     def test_candidates_match_by_world_center(self):
         gts = [gt(5.0, 5.0)]
@@ -444,3 +525,33 @@ class TestSigmaMatrix:
     def test_empty_shapes(self):
         assert sigma_matrix([], [gt(0, 0)], MatchMetric.CENTER_DISTANCE).shape == (0, 1)
         assert sigma_matrix([pred(0, 0)], [], MatchMetric.CENTER_DISTANCE).shape == (1, 0)
+        for preds, gts in (([], [gt(0, 0)]), ([pred(0, 0)], []), ([], [])):
+            sig = sigma_matrix(preds, gts, MatchMetric.ROTATED_IOU)
+            assert sig.shape == (len(preds), len(gts)) and sig.dtype == np.float64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        preds=overlapping_boxes(scored=True),
+        gts=overlapping_boxes(scored=False),
+        pred_columns=st.booleans(),
+        gt_columns=st.booleans(),
+    )
+    def test_iou_equals_pair_loop(self, preds, gts, pred_columns, gt_columns):
+        want = iou_sigma_oracle(preds, gts)
+
+        got = sigma_matrix(
+            BoxColumns.of(preds) if pred_columns else preds,
+            BoxColumns.of(gts) if gt_columns else gts,
+            MatchMetric.ROTATED_IOU,
+        )
+
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_iou_rejects_candidates_as_the_pair_loop_did(self):
+        c = Candidate(0, 0, 0, 0.9, 0, 0.0, 0.0)
+        for preds in ([c], CandidateColumns.of([c]), [pred(0, 0), c]):
+            with pytest.raises(ValueError, match="IoU matching requires box predictions"):
+                iou_sigma_oracle(preds, [gt(0, 0)])
+            with pytest.raises(ValueError, match="IoU matching requires box predictions"):
+                sigma_matrix(preds, [gt(0, 0)], MatchMetric.ROTATED_IOU)

@@ -15,6 +15,7 @@ from bevprobe.geometry import (
     DeformSamplingConfig,
     bilinear_sample,
     box_pool,
+    box_corners,
     box_pool_points,
     center_distance,
     clip_polygon,
@@ -160,7 +161,12 @@ class TestBoxColumns:
         "row",
         [(0.0, 0.0, 0.0, 1.0, 0.0, 0, None), (0.0, 0.0, 1.0, -2.0, 0.0, 0, None),
          (0.0, 0.0, 1.0, 1.0, 0.0, 0, 1.5), (0.0, 0.0, 1.0, 1.0, 0.0, 0, -0.1),
-         (0.0, 0.0, 1.0, 1.0, math.inf, 0, None), (0.0, 0.0, 1.0, 1.0, -math.inf, 0, 0.5)],
+         (0.0, 0.0, 1.0, 1.0, math.inf, 0, None), (0.0, 0.0, 1.0, 1.0, -math.inf, 0, 0.5),
+         (math.nan, 0.0, 1.0, 1.0, 0.0, 0, None), (math.inf, 0.0, 1.0, 1.0, 0.0, 0, 0.5),
+         (0.0, math.nan, 1.0, 1.0, 0.0, 0, 0.5), (0.0, -math.inf, 1.0, 1.0, 0.0, 0, None),
+         (0.0, 0.0, math.nan, 1.0, 0.0, 0, None), (0.0, 0.0, math.inf, 1.0, 0.0, 0, 0.5),
+         (0.0, 0.0, 1.0, math.nan, 0.0, 0, 0.5), (0.0, 0.0, 1.0, math.inf, 0.0, 0, None),
+         (0.0, 0.0, 1.0, 1.0, math.nan, 0, None), (0.0, 0.0, 1.0, 1.0, math.nan, 0, 0.5)],
     )
     def test_rejects_rows_a_box_rejects(self, row):
         with pytest.raises(ValueError) as box_error:
@@ -171,6 +177,61 @@ class TestBoxColumns:
             columns[-1] = None
         with pytest.raises(ValueError, match=re.escape(str(box_error.value))):
             BoxColumns(*columns)
+
+    @pytest.mark.parametrize(
+        "field, row",
+        [("cx", (math.nan, 0.0, 1.0, 1.0, 0.0)), ("cy", (0.0, math.inf, 1.0, 1.0, 0.0)),
+         ("length", (0.0, 0.0, math.inf, 1.0, 0.0)), ("width", (0.0, 0.0, 1.0, math.inf, 0.0)),
+         ("yaw", (0.0, 0.0, 1.0, 1.0, math.nan)), ("yaw", (0.0, 0.0, 1.0, 1.0, -math.inf))],
+    )
+    def test_non_finite_field_is_named(self, field, row):
+        value = [v for v in row if not math.isfinite(v)][0]
+        message = f"box {field} must be finite, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BevBox(*row)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BoxColumns(*([1.0, v] for v in row), [0, 0])
+
+    def test_nan_footprint_keeps_the_footprint_message(self):
+        for row in ((0.0, 0.0, math.nan, 1.0), (math.nan, 0.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="footprint must be positive"):
+                BevBox(*row)
+            with pytest.raises(ValueError, match="footprint must be positive"):
+                BoxColumns(*([v] for v in row), [0.0], [0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(yaws=st.lists(yaw_values, max_size=8), data=st.data())
+    def test_column_corners_equal_box_corners_bit_for_bit(self, yaws, data):
+        n = len(yaws)
+        cx = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        size = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        cols = BoxColumns(cx, [-x for x in cx], size, size[::-1], yaws, [0] * n)
+
+        c, s, corners = box_corners(cols.cx, cols.cy, cols.length, cols.width, cols.yaw)
+
+        assert corners.shape == (4, 2, n) and c.shape == s.shape == (n,)
+        for i, box in enumerate(cols.rows()):
+            assert box.corners().tobytes() == np.ascontiguousarray(corners[..., i]).tobytes()
+            assert (c[i], s[i]) == (math.cos(box.yaw), math.sin(box.yaw))
+
+    @settings(max_examples=100, deadline=None)
+    @given(yaws=st.lists(yaw_values, max_size=8), data=st.data())
+    def test_index_array_selects_rows_as_columns(self, yaws, data):
+        n = len(yaws)
+        cols = BoxColumns(list(range(n)), [0.0] * n, [1.0] * n, [2.0] * n, yaws, [7] * n,
+                          data.draw(st.none() | st.just([0.5] * n)))
+        index = np.array(
+            data.draw(st.lists(st.integers(-n, n - 1), max_size=10) if n else st.just([])),
+            dtype=np.intp,
+        )
+
+        picked = cols[index]
+
+        assert type(picked) is BoxColumns
+        assert repr(picked.rows()) == repr(tuple(cols[int(i)] for i in index))
+        assert not any(getattr(picked, f).flags.writeable for f in picked._fields)
+        assert picked.class_id.dtype == np.int64 and picked.score.dtype == np.float64
+        assert len(cols[np.array([], dtype=np.intp)]) == 0
 
 
 class TestCenterDistance:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from bevprobe import hip
 from bevprobe.assignment import MatchConfig, classify_stage
 from bevprobe.bev_grid import BevGridSpec, Heatmap
-from bevprobe.geometry import BevBox
+from bevprobe.geometry import BevBox, BoxColumns
 from bevprobe.hip import (
     Candidate,
     CandidateColumns,
@@ -218,6 +218,34 @@ class TestBoxMaskProperties:
 
         assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_box_columns_give_the_oracle_and_the_row_list_mask(self, data):
+        # Yaws far outside (-pi, pi] are wrapped by the columns as by BevBox.
+        spec = data.draw(grid_specs())
+        n = data.draw(st.integers(0, 12))
+        cells = [
+            (data.draw(st.integers(0, spec.size_x - 1)), data.draw(st.integers(0, spec.size_y - 1)),
+             data.draw(st.integers(0, spec.num_classes - 1)))
+            for _ in range(n)
+        ]
+        candidates = [Candidate(x, y, c, 0.5, 0, *spec.grid_to_world((x, y))) for x, y, c in cells]
+        offset = st.floats(-2.0, 2.0).map(lambda v: v * spec.cell_size)
+        boxes = BoxColumns(
+            [cd.world_x + data.draw(offset) for cd in candidates],
+            [cd.world_y + data.draw(offset) for cd in candidates],
+            [data.draw(box_extents(spec.cell_size)) for _ in range(n)],
+            [data.draw(box_extents(spec.cell_size)) for _ in range(n)],
+            [data.draw(yaws | st.floats(-1e6, 1e6)) for _ in range(n)],
+            [c for _x, _y, c in cells],
+        )
+
+        mask = build_positive_mask(candidates, BOX_CFG, spec, boxes=boxes)
+
+        assert (mask.bits == box_mask_oracle(candidates, boxes.rows(), spec)).all()
+        rows = build_positive_mask(candidates, BOX_CFG, spec, boxes=list(boxes.rows()))
+        assert mask.bits.tobytes() == rows.bits.tobytes()
+
     def test_many_boxes_plus_a_grid_spanning_box_stay_in_bounded_memory(self):
         spec = BevGridSpec(1024, 1024, 1, 0.2, -102.4, -102.4)
         rng = np.random.default_rng(11)
@@ -392,6 +420,25 @@ class TestCandidateColumnsProperties:
         for c in rows:
             assert all(type(v) is int for v in (c.x, c.y, c.class_id, c.stage))
             assert all(type(v) is float for v in (c.score, c.world_x, c.world_y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_index_array_selects_rows_as_columns(self, data):
+        spec = data.draw(grid_specs())
+        cols = data.draw(candidate_columns(spec))
+        n = len(cols)
+        index = np.array(
+            data.draw(st.lists(st.integers(-n, n - 1), max_size=10) if n else st.just([])),
+            dtype=np.intp,
+        )
+
+        picked = cols[index]
+
+        assert type(picked) is CandidateColumns
+        assert picked.rows() == tuple(cols[int(i)] for i in index)
+        assert all(getattr(picked, f).dtype == getattr(cols, f).dtype for f in hip._FIELDS)
+        assert not any(getattr(picked, f).flags.writeable for f in hip._FIELDS)
+        assert len(cols[np.array([], dtype=np.intp)]) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

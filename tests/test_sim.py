@@ -156,6 +156,9 @@ class TestDetectabilityValidation:
             make_model(clutter_clearance=-1.0)
         with pytest.raises(ValueError):
             make_model(detect_eta=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="detect_eta must be finite and positive"):
+                make_model(detect_eta=bad)
         with pytest.raises(ValueError):
             make_model(clutter_peaks=-1)
 

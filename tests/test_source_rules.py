@@ -72,6 +72,32 @@ def test_grid_rules_live_in_bev_grid():
     assert uses == {"bev_grid.py": GRID_ORIGINS | GRID_CALLS}, uses
 
 
+HEADING_TRIG = {(module, f) for module in ("math", "np", "numpy") for f in ("cos", "sin")}
+
+
+def heading_trig_uses(tree):
+    """Each ``math.cos``/``math.sin``/``np.cos``/``np.sin`` reference, and
+    each import of those names from ``math`` or ``numpy``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in HEADING_TRIG):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (node.module, alias.name) in HEADING_TRIG:
+                    yield f"{node.module}.{alias.name}"
+
+
+def test_heading_trigonometry_lives_in_geometry():
+    # A box's corners and the footprint the mask rasterizes must agree bit
+    # for bit, so every heading's cosine and sine come from one module.
+    uses = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in heading_trig_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            uses.setdefault(path.name, set()).add(name)
+    assert set(uses) <= {"geometry.py"}, uses
+
+
 def test_public_names_are_the_names_init_imports():
     # __all__ and the imports of __init__.py list the public names twice;
     # a name added to one and not the other would drift out of the API.
