@@ -158,12 +158,22 @@ def radius_for_box(box: BevBox, spec: BevGridSpec, cfg: GaussianRenderConfig) ->
     return max(cfg.min_radius_cells, int(r))
 
 
+# A kernel of more cells is evaluated over its on-canvas window only, and not cached.
+_CACHED_KERNEL_CELLS = 1 << 16
+
+
+def _gaussian(radius: int, dy: range, dx: range) -> np.ndarray:
+    """Gaussian with sigma = radius / 3 and peak 1 at row offsets ``dy`` and
+    column offsets ``dx`` from its center."""
+    sigma = radius / 3.0
+    ay, ax = (np.arange(d.start, d.stop, dtype=np.float64) for d in (dy, dx))
+    return np.exp(-(ax[None, :] ** 2 + ay[:, None] ** 2) / (2.0 * sigma * sigma))
+
+
 @functools.lru_cache(maxsize=64)
 def _unit_gaussian(radius: int) -> np.ndarray:
     """Read-only (2r+1)^2 Gaussian window with sigma = radius / 3, peak 1."""
-    sigma = radius / 3.0
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
+    kernel = _gaussian(radius, range(-radius, radius + 1), range(-radius, radius + 1))
     kernel.setflags(write=False)
     return kernel
 
@@ -180,14 +190,15 @@ def draw_gaussian_peak(
     ny, nx = canvas.shape
     if not (0 <= x < nx and 0 <= y < ny):
         return False
-    bump = peak * _unit_gaussian(radius)
-    x0, x1 = max(0, x - radius), min(nx, x + radius + 1)
-    y0, y1 = max(0, y - radius), min(ny, y + radius + 1)
-    window = bump[
-        y0 - (y - radius) : y1 - (y - radius), x0 - (x - radius) : x1 - (x - radius)
-    ]
-    region = canvas[y0:y1, x0:x1]
-    np.maximum(region, window, out=region)
+    dx = range(max(0, x - radius) - x, min(nx, x + radius + 1) - x)
+    dy = range(max(0, y - radius) - y, min(ny, y + radius + 1) - y)
+    if (2 * radius + 1) ** 2 > _CACHED_KERNEL_CELLS:
+        window = _gaussian(radius, dy, dx)
+    else:
+        window = _unit_gaussian(radius)[dy.start + radius : dy.stop + radius,
+                                        dx.start + radius : dx.stop + radius]
+    region = canvas[y + dy.start : y + dy.stop, x + dx.start : x + dx.stop]
+    np.maximum(region, peak * window, out=region)
     return True
 
 

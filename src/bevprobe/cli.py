@@ -45,9 +45,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -71,13 +69,11 @@ def _read_json(path: Path, what: str, err=DataError) -> dict:
 def _run_info() -> dict:
     from importlib.metadata import version
 
-    import numpy
-
     return {
         "tool": "bevprobe",
         "version": __version__,
         "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": version("scipy"),
     }
 
@@ -390,7 +386,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         recall = typed(dict[str, float], pooled["per_threshold_recall"], thr_where, DataError)
         if not recall:
             raise DataError(f"{thr_where}: expected at least one threshold")
-        pts = []
+        pts, seen = [], {}
         for key, r in recall.items():
             try:
                 t = float(key)
@@ -398,6 +394,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 t = math.nan
             if not math.isfinite(t):
                 raise DataError(f"{thr_where}: key {key!r} is not a finite number")
+            if seen.setdefault(t, key) != key:
+                raise DataError(f"{thr_where}: keys {seen[t]!r} and {key!r} name one threshold")
             pts.append((t, float(r), key))  # float(): a JSON integer 1 prints as 1.0
         pts.sort()
         num_gt = typed(int, pooled.get("num_gt", 0), f"{where}.num_gt", DataError)

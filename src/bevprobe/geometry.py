@@ -98,8 +98,8 @@ class BoxColumns(RowColumns):
     :class:`RowColumns`. A box without a score (ground truth) holds NaN in
     the ``score`` column.
 
-    Construction applies ``BevBox``'s rules to every row, in its order:
-    positive footprints, scores in [0, 1], finite numbers, and a yaw
+    Construction checks ``BevBox``'s rules on every row at once; the first
+    row that breaks any of them raises its ``BevBox``'s error. The yaw is
     wrapped into (-pi, pi] exactly as :func:`normalize_yaw` does.
     """
 
@@ -112,19 +112,11 @@ class BoxColumns(RowColumns):
         if score is None:
             score = np.full(len(cx), np.nan)
         super().__init__(cx, cy, length, width, yaw, class_id, score, dtypes=_BOX_DTYPES)
-        sized = (self.length > 0.0) & (self.width > 0.0)
-        if not sized.all():
-            i = int(np.argmin(sized))
-            raise ValueError(
-                f"box footprint must be positive, got {self.length[i]} x {self.width[i]}"
-            )
         s = self.score
-        scored = np.isnan(s) | ((0.0 <= s) & (s <= 1.0))
-        if not scored.all():
-            raise ValueError(f"score must lie in [0, 1], got {s[int(np.argmin(scored))]}")
-        finite = np.isfinite([getattr(self, f) for f in _FINITE_FIELDS]).all(axis=0)
-        if not finite.all():
-            self[int(np.argmin(finite))]  # the first such row, whose BevBox raises
+        ok = np.isfinite([getattr(self, f) for f in _FINITE_FIELDS]).all(axis=0)
+        ok &= (self.length > 0.0) & (self.width > 0.0) & (np.isnan(s) | ((0.0 <= s) & (s <= 1.0)))
+        if not ok.all():
+            self[int(np.argmin(ok))]  # the first bad row, whose BevBox raises
         # normalize_yaw over the column: the same fmod and the same branches.
         y = np.fmod(self.yaw, _TWO_PI)
         y = np.where(y <= -math.pi, y + _TWO_PI, np.where(y > math.pi, y - _TWO_PI, y))

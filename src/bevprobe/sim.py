@@ -427,7 +427,7 @@ class ExperimentSetup:
             raise ValueError(
                 f"num_scenes is {self.num_scenes}, above the simulator's ceiling of {MAX_SCENES}"
             )
-        # Each splat builds a (2r+1)^2 kernel. Bound r by the class's largest
+        # Each splat's kernel spans (2r+1)^2 cells. Bound r by the class's largest
         # box, plus one cell: gaussian_radius is monotone only up to rounding.
         spec, render = self.params.spec, self.render_cfg
         for c, (mean_l, mean_w, jitter) in enumerate(self.params.size_table):

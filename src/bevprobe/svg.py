@@ -9,7 +9,8 @@ from __future__ import annotations
 from typing import Sequence
 
 _WIDTH, _HEIGHT = 640, 420
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 44, 64
+_PX, _PY = 70, 44  # the plot rectangle's left and top edges
+_PW, _PH = _WIDTH - 30 - _PX, _HEIGHT - 64 - _PY  # and its size: 30 right, 64 bottom margins
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -34,10 +35,9 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def _axes(x_label: str, y_label: str, y_min: float, y_span: float) -> list[str]:
-    """Axis lines and titles, and five gridlines labeled ``y_min + frac * y_span``."""
-    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
+def _axes(x_label: str, y_label: str) -> list[str]:
+    """Axis lines and titles, and gridlines at 0, 0.25, ..., 1 on the fixed [0, 1] y axis."""
+    x0, y0, x1, y1 = _PX, _PY + _PH, _PX + _PW, _PY
     parts = [
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
@@ -47,33 +47,23 @@ def _axes(x_label: str, y_label: str, y_min: float, y_span: float) -> list[str]:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(y_label)}</text>',
     ]
-    px, py, pw, ph = _plot_area()
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        gy = py + ph - frac * ph
+        gy = _PY + _PH - frac * _PH
         parts.append(
-            f'<line x1="{px:.2f}" y1="{gy:.2f}" x2="{px + pw:.2f}" y2="{gy:.2f}" '
+            f'<line x1="{x0:.2f}" y1="{gy:.2f}" x2="{x1:.2f}" y2="{gy:.2f}" '
             f'stroke="#dddddd"/>'
         )
         parts.append(
-            f'<text x="{px - 8:.2f}" y="{gy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(y_min + frac * y_span)}</text>'
+            f'<text x="{x0 - 8:.2f}" y="{gy + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{_fmt(frac)}</text>'
         )
     return parts
 
 
-def _plot_area() -> tuple[float, float, float, float]:
-    return (
-        _MARGIN_L,
-        _MARGIN_T,
-        _WIDTH - _MARGIN_R - _MARGIN_L,
-        _HEIGHT - _MARGIN_B - _MARGIN_T,
-    )
-
-
 def _legend(labels: Sequence[str]) -> list[str]:
     parts = []
-    x = _MARGIN_L + 10
-    y = _MARGIN_T + 8
+    x = _PX + 10
+    y = _PY + 8
     for i, label in enumerate(labels):
         color = _PALETTE[i % len(_PALETTE)]
         ly = y + 18 * i
@@ -92,28 +82,24 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    y_range: tuple[float, float] = (0.0, 1.0),
 ) -> str:
-    """Polyline chart of one or more (x, y) series sharing the x axis."""
-    px, py, pw, ph = _plot_area()
+    """Polyline chart of one or more (x, y) series sharing the x axis, y in [0, 1]."""
     xs = [x for pts in series.values() for x, _ in pts]
     if not xs:
         raise ValueError("line_chart needs at least one point")
     x_min, x_max = min(xs), max(xs)
     span_x = (x_max - x_min) or 1.0
-    y_min, y_max = y_range
-    span_y = (y_max - y_min) or 1.0
 
     def sx(x: float) -> float:
-        return px + (x - x_min) / span_x * pw
+        return _PX + (x - x_min) / span_x * _PW
 
     def sy(y: float) -> float:
-        return py + ph - (y - y_min) / span_y * ph
+        return _PY + _PH - y * _PH
 
-    parts = _header(title) + _axes(x_label, y_label, y_min, span_y)
+    parts = _header(title) + _axes(x_label, y_label)
     for x in sorted(set(xs)):
         parts.append(
-            f'<text x="{sx(x):.2f}" y="{py + ph + 18:.2f}" text-anchor="middle" '
+            f'<text x="{sx(x):.2f}" y="{_PY + _PH + 18:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(x)}</text>'
         )
     for i, (label, pts) in enumerate(series.items()):
@@ -137,35 +123,33 @@ def grouped_bar_chart(
     title: str,
     x_label: str,
     y_label: str,
-    y_max: float = 1.0,
 ) -> str:
-    """Bars grouped by category, one bar per series within each group."""
+    """Bars grouped by category, one bar per series within each group; heights
+    clipped to [0, 1]."""
     if not groups:
         raise ValueError("grouped_bar_chart needs at least one group")
     for label, vals in series.items():
         if len(vals) != len(groups):
             raise ValueError(f"series {label!r} has {len(vals)} values for {len(groups)} groups")
-    px, py, pw, ph = _plot_area()
     n_groups = len(groups)
     n_series = max(1, len(series))
-    group_w = pw / n_groups
+    group_w = _PW / n_groups
     bar_w = group_w * 0.8 / n_series
 
-    parts = _header(title) + _axes(x_label, y_label, 0.0, y_max)
+    parts = _header(title) + _axes(x_label, y_label)
     for gi, group in enumerate(groups):
-        gx = px + gi * group_w
+        gx = _PX + gi * group_w
         parts.append(
-            f'<text x="{gx + group_w / 2:.2f}" y="{py + ph + 18:.2f}" '
+            f'<text x="{gx + group_w / 2:.2f}" y="{_PY + _PH + 18:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{_escape(str(group))}</text>"
         )
         for si, (label, vals) in enumerate(series.items()):
-            v = max(0.0, min(y_max, vals[gi]))
-            h = v / y_max * ph
+            h = max(0.0, min(1.0, vals[gi])) * _PH
             bx = gx + group_w * 0.1 + si * bar_w
             color = _PALETTE[si % len(_PALETTE)]
             parts.append(
-                f'<rect x="{bx:.2f}" y="{py + ph - h:.2f}" width="{bar_w:.2f}" '
+                f'<rect x="{bx:.2f}" y="{_PY + _PH - h:.2f}" width="{bar_w:.2f}" '
                 f'height="{h:.2f}" fill="{color}"/>'
             )
     parts.extend(_legend(list(series.keys())))

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevprobe.bev_grid import (
     BevGridSpec,
@@ -201,22 +204,61 @@ class TestDrawGaussianPeak:
         with pytest.raises(ValueError):
             kernel[0, 0] = 2.0
 
-    @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8, 13, 200, 600])
     @pytest.mark.parametrize("peak", [1.0, 0.75, 0.3141592653589793, 1e-3])
     def test_equals_freshly_computed_kernel(self, radius, peak):
-        # The splat as written before kernels were cached: exp evaluated
-        # per call, then scaled by the peak.
-        sigma = radius / 3.0
-        ax = np.arange(-radius, radius + 1, dtype=np.float64)
-        bump = peak * np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
-        for x, y in [(radius + 1, radius + 2), (0, 0), (2 * radius + 1, 1)]:
-            size = 2 * radius + 3
-            canvas = np.zeros((size, size))
-            draw_gaussian_peak(canvas, x, y, radius, peak)
-            expected = np.zeros((size + 2 * radius, size + 2 * radius))
-            expected[y : y + 2 * radius + 1, x : x + 2 * radius + 1] = bump
-            expected = expected[radius : radius + size, radius : radius + size]
-            assert (canvas == expected).all()
+        # Radii 200 and 600 are past the cache bound, and wider than the
+        # second canvas, which cuts their kernels on every side.
+        for ny, nx in [(2 * radius + 3, 2 * radius + 3), (37, 53)]:
+            for x, y in [(radius + 1, radius + 2), (0, 0), (2 * radius + 1, 1),
+                         (nx - 1, ny // 3), (nx // 2, ny - 1), (nx // 3, ny // 2)]:
+                if x < nx and y < ny:
+                    canvas = np.zeros((ny, nx))
+                    draw_gaussian_peak(canvas, x, y, radius, peak)
+                    assert (canvas == full_kernel_splat((ny, nx), x, y, radius, peak)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(radius=st.integers(1, 400), ny=st.integers(1, 80), nx=st.integers(1, 80),
+           peak=st.floats(1e-6, 1.0), data=st.data())
+    def test_any_splat_equals_the_full_kernel_cut_to_the_canvas(self, radius, ny, nx, peak, data):
+        x, y = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+        canvas = np.zeros((ny, nx))
+        draw_gaussian_peak(canvas, x, y, radius, peak)
+        assert canvas.tobytes() == full_kernel_splat((ny, nx), x, y, radius, peak).tobytes()
+
+    def test_wide_splat_allocates_only_its_canvas_window(self):
+        # One 3,000 m box on a 16 x 16 grid of 0.5 m cells has a radius of
+        # 2,051 cells: a full kernel would take 4103^2 float64s, 135 MB.
+        spec = BevGridSpec(16, 16, 1, 0.5, -4.0, -4.0)
+        box = BevBox(0.0, 0.0, 3000.0, 3000.0)
+        assert radius_for_box(box, spec, GaussianRenderConfig()) == 2051
+        tracemalloc.start()
+        try:
+            hm, skipped = render_gaussian_heatmap([box], spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert skipped == 0 and hm.values.max() == 1.0 and peak < 1 << 20
+
+    def test_wide_kernels_are_not_cached(self):
+        _unit_gaussian.cache_clear()
+        for radius in (128, 200, 2051):
+            assert draw_gaussian_peak(np.zeros((9, 9)), 4, 4, radius)
+        assert _unit_gaussian.cache_info().currsize == 0
+        draw_gaussian_peak(np.zeros((9, 9)), 4, 4, 127)  # 255^2 cells: within the bound
+        assert _unit_gaussian.cache_info().currsize == 1
+
+
+def full_kernel_splat(shape, x, y, radius, peak):
+    """The splat as first written: exp evaluated over the whole (2r+1)^2
+    window, scaled by the peak, then cut to the canvas."""
+    sigma = radius / 3.0
+    ax = np.arange(-radius, radius + 1, dtype=np.float64)
+    bump = peak * np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2.0 * sigma * sigma))
+    ny, nx = shape
+    padded = np.zeros((ny + 2 * radius, nx + 2 * radius))
+    padded[y : y + 2 * radius + 1, x : x + 2 * radius + 1] = bump
+    return padded[radius : radius + ny, radius : radius + nx]
 
 
 class TestRenderGaussianHeatmap:

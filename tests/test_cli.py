@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevprobe import hip
 from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap, write_grid_tensor
-from bevprobe.cli import main
+from bevprobe.cli import _write_json, main
 from bevprobe.errors import ConfigError
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
@@ -933,6 +933,28 @@ class TestAuditCommand:
         ]) == 3
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=JSON_VALUES)
+@example(doc={"z": [1, 2**70, -(2**65), math.nan, math.inf, -0.0, 1e308],
+              "a": {"caf\u00e9": "na\u00efve \u2603 \U0001f600 \u2028", "": None, "b": True}})
+def test_write_json_bytes_equal_a_streamed_json_dump(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.json", Path(tmp) / "old.json"
+        _write_json(new, doc)
+        with open(old, "w", encoding="utf-8", newline="") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert new.read_bytes() == old.read_bytes()
+
+
 class TestReportCommand:
     def test_rebuilds_same_curve(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -1008,6 +1030,20 @@ class TestReportCommand:
         else:
             err = capsys.readouterr().err
             assert expect in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("keys", [("1", "1.0"), ("0.5", "5e-1"), ("-0", "0"), ("2", "2.000")])
+    def test_threshold_spelled_twice_exits_3(self, tmp_path, capsys, keys):
+        # Kept, the two keys would write two contradictory CSV rows for one
+        # threshold and draw a vertical step in the curve.
+        pooled = {"per_threshold_recall": dict(zip(keys, (0.5, 0.7))),
+                  "num_matched": dict.fromkeys(keys, 3), "num_gt": 6}
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"arms": {"hip": {"pooled": pooled}}}))
+        assert main(["report", "--summary", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "arms.hip.pooled.per_threshold_recall: keys" in err and "Traceback" not in err
+        assert f"{keys[0]!r} and {keys[1]!r}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_output_bytes_do_not_depend_on_locale(self, tmp_path):
         summary = simulated_summary()

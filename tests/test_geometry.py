@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -122,6 +123,42 @@ yaw_values = st.one_of(
 )
 
 
+BAD_VALUES = {
+    "cx": [math.nan, math.inf, -math.inf],
+    "cy": [math.nan, math.inf, -math.inf],
+    "length": [0.0, -0.0, -1.5, math.nan, math.inf, -math.inf],
+    "width": [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf],
+    "yaw": [math.nan, math.inf, -math.inf],
+    "score": [1.5, -0.1, 1.0000000000000002, -5e-324, math.inf, -math.inf],
+}
+FLOAT_FIELDS = ("cx", "cy", "length", "width", "yaw")
+
+
+def box_of_row(columns, i):
+    """The ``BevBox`` of row ``i`` of raw columns, a NaN score read as none."""
+    score = columns["score"][i] if columns["score"] is not None else math.nan
+    return BevBox(*(columns[f][i] for f in FLOAT_FIELDS), columns["class_id"][i],
+                  None if score != score else score)
+
+
+def three_pass_box_rules(columns):
+    """BoxColumns' checks as they stood with one pass per rule: the first
+    row with a non-positive footprint, else the first with a score outside
+    [0, 1], else the first with a non-finite field, whose BevBox raises."""
+    length, width = np.asarray(columns["length"]), np.asarray(columns["width"])
+    s = np.full(len(length), np.nan) if columns["score"] is None else np.asarray(columns["score"])
+    sized = (length > 0.0) & (width > 0.0)
+    if not sized.all():
+        i = int(np.argmin(sized))
+        raise ValueError(f"box footprint must be positive, got {length[i]} x {width[i]}")
+    scored = np.isnan(s) | ((0.0 <= s) & (s <= 1.0))
+    if not scored.all():
+        raise ValueError(f"score must lie in [0, 1], got {s[int(np.argmin(scored))]}")
+    finite = np.isfinite([columns[f] for f in FLOAT_FIELDS]).all(axis=0)
+    if not finite.all():
+        box_of_row(columns, int(np.argmin(finite)))
+
+
 class TestBoxColumns:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -198,6 +235,45 @@ class TestBoxColumns:
                 BevBox(*row)
             with pytest.raises(ValueError, match="footprint must be positive"):
                 BoxColumns(*([v] for v in row), [0.0], [0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), scored=st.booleans(), data=st.data())
+    def test_first_bad_row_raises_its_box_error(self, n, scored, data):
+        def column(values):
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        columns = {f: column(st.floats(-1e3, 1e3)) for f in ("cx", "cy", "yaw")}
+        columns.update(length=column(st.floats(1e-3, 10.0)), width=column(st.floats(1e-3, 10.0)),
+                       class_id=column(st.integers(0, 9)),
+                       score=column(st.floats(0.0, 1.0) | st.just(math.nan)) if scored else None)
+        fields = sorted(BAD_VALUES) if scored else sorted(set(BAD_VALUES) - {"score"})
+        faults = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(fields), st.integers(0, 5)),
+            max_size=4,
+        ))
+        for i, field, pick in faults:
+            columns[field][i] = BAD_VALUES[field][pick % len(BAD_VALUES[field])]
+        expected, bad_rows = None, set()
+        for i in range(n):
+            try:
+                box_of_row(columns, i)
+            except ValueError as exc:
+                expected = expected or str(exc)
+                bad_rows.add(i)
+        build = functools.partial(BoxColumns, *(columns[f] for f in FLOAT_FIELDS),
+                                  columns["class_id"], columns["score"])
+
+        if expected is None:
+            assert repr(build().rows()) == repr(tuple(box_of_row(columns, i) for i in range(n)))
+            three_pass_box_rules(columns)
+            return
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == expected
+        if len(bad_rows) == 1:
+            with pytest.raises(ValueError) as old_error:
+                three_pass_box_rules(columns)
+            assert str(old_error.value) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(yaws=st.lists(yaw_values, max_size=8), data=st.data())

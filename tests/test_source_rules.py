@@ -108,3 +108,18 @@ def test_public_names_are_the_names_init_imports():
         for alias in node.names
     ]
     assert sorted(bevprobe.__all__) == sorted(imported)
+
+
+BOX_RULE_MESSAGES = ("box footprint must be positive", "score must lie in [0, 1]")
+
+
+def test_box_rules_live_in_bev_box():
+    # BoxColumns lets its first bad row's BevBox raise. A second copy of a
+    # rule's message means a second copy of the rule, free to drift.
+    for message in BOX_RULE_MESSAGES:
+        homes = [
+            path.name
+            for path in sorted(PACKAGE.glob("*.py"))
+            for _ in range(path.read_text(encoding="utf-8").count(message))
+        ]
+        assert homes == ["geometry.py"], (message, homes)
