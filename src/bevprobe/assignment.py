@@ -251,6 +251,11 @@ def gated_cost_matrix(
     Returns (costs, gated) where ``gated`` is the boolean infeasibility
     mask.
     """
+    return _gated_costs(preds, gts, cfg, base_cost)[:2]
+
+
+def _gated_costs(preds, gts, cfg: AssignmentConfig, base_cost) -> tuple[np.ndarray, ...]:
+    """:func:`gated_cost_matrix`'s (costs, gated), then the distances behind them."""
     dist = sigma_matrix(preds, gts, MatchMetric.CENTER_DISTANCE)
     if base_cost is None:
         base = dist.copy()
@@ -266,7 +271,7 @@ def gated_cost_matrix(
     scale = float(np.abs(base).max()) if base.size else 0.0
     sentinel = 1e6 * max(1.0, scale)
     base[gated] = sentinel
-    return base, gated
+    return base, gated, dist
 
 
 def assign_with_gate(
@@ -280,8 +285,7 @@ def assign_with_gate(
     Returns (pred index, gt index, center distance) for every assigned pair
     whose center distance is within the gate.
     """
-    costs, gated = gated_cost_matrix(preds, gts, cfg, base_cost)
-    dist = sigma_matrix(preds, gts, MatchMetric.CENTER_DISTANCE)
+    costs, gated, dist = _gated_costs(preds, gts, cfg, base_cost)
     out = []
     for r, c in hungarian_assign(costs):
         if not gated[r, c]:

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -117,6 +118,8 @@ class GaussianRenderConfig:
             raise ValueError(f"min_overlap must lie in (0, 1), got {self.min_overlap}")
         if self.min_radius_cells < 1:
             raise ValueError("min_radius_cells must be at least 1")
+        if self.min_radius_cells > sys.float_info.max:  # a splat divides it as a float
+            raise ValueError("min_radius_cells must not exceed the largest float")
 
 
 def gaussian_radius(extent_a: float, extent_b: float, min_overlap: float) -> float:

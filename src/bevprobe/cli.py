@@ -190,11 +190,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    heatmaps = [load_heatmap(p) for p in stage_paths]
-    spec = heatmaps[0].spec
-    for path, hm in zip(stage_paths, heatmaps):
-        if hm.spec != spec:
-            raise DataError(f"{path}: grid spec differs from {stage_paths[0]}")
+    # Stage 0 is read now, for its grid, and popped when run_hip takes it; each
+    # later stage file is read when its stage starts.
+    first = [load_heatmap(stage_paths[0])]
+    spec = first[0].spec
     outside = sorted(c for c in small if not 0 <= c < spec.num_classes)
     if outside:
         raise ConfigError(
@@ -209,7 +208,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
             size = np.full(n, args.box_length), np.full(n, args.box_width)
             return BoxColumns(cands.world_x, cands.world_y, *size, np.zeros(n), cands.class_id)
 
-    result = run_hip(heatmaps, cfg, spec, box_provider=box_provider)
+    def stage_heatmap(stage, _collected):
+        hm = first.pop() if stage == 0 else load_heatmap(stage_paths[stage])
+        if hm.spec != spec:
+            raise DataError(f"{stage_paths[stage]}: grid spec differs from {stage_paths[0]}")
+        return hm
+
+    result = run_hip(stage_heatmap, cfg, spec, box_provider=box_provider)
     out = _output_dir(args)
     _write_text(out / "candidates.jsonl", result.columns.to_jsonl())
     for trace in result.traces:

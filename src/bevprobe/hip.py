@@ -351,10 +351,9 @@ BoxProvider = Callable[[Sequence[Candidate]], Sequence[BevBox]]
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Everything one stage saw and produced."""
+    """Everything one stage produced."""
 
     stage: int
-    masked_heatmap: Heatmap
     columns: CandidateColumns
     positive_mask: PositiveMask
     accumulated_mask: PositiveMask
@@ -370,31 +369,22 @@ class HipResult:
 
 
 def run_hip(
-    stage_source: Sequence[Heatmap] | StageSource,
+    stage_source: StageSource,
     cfg: HipConfig,
     spec: BevGridSpec,
     box_provider: BoxProvider | None = None,
 ) -> HipResult:
     """Run the full staged probing loop.
 
-    ``stage_source`` is either a sequence of exactly ``cfg.num_stages``
-    heatmaps or a callable ``(stage, candidates_so_far) -> Heatmap``,
-    which receives the earlier stages' selections as one
-    ``CandidateColumns``. BOX masking additionally needs ``box_provider``
-    mapping a stage's candidates to one predicted box each, as one
-    ``BoxColumns`` or a sequence of ``BevBox``. A source's ConfigError or
-    DataError propagates unchanged; any other source error is re-raised as
-    RuntimeError with the failing stage identified.
+    ``stage_source`` is a callable ``(stage, candidates_so_far) ->
+    Heatmap``, called once per stage when that stage starts, which
+    receives the earlier stages' selections as one ``CandidateColumns``.
+    BOX masking additionally needs ``box_provider`` mapping a stage's
+    candidates to one predicted box each, as one ``BoxColumns`` or a
+    sequence of ``BevBox``. A source's ConfigError or DataError propagates
+    unchanged; any other source error is re-raised as RuntimeError with
+    the failing stage identified.
     """
-    if callable(stage_source):
-        fetch = stage_source
-    else:
-        stage_maps = list(stage_source)
-        if len(stage_maps) != cfg.num_stages:
-            raise ValueError(
-                f"expected {cfg.num_stages} stage heatmaps, got {len(stage_maps)}"
-            )
-        fetch = lambda stage, _cands: stage_maps[stage]
     if cfg.mask_type is MaskType.BOX and box_provider is None:
         raise ValueError("box masking requires a box_provider")
 
@@ -403,14 +393,16 @@ def run_hip(
     traces: list[StageTrace] = []
     for stage in range(cfg.num_stages):
         try:
-            hm = fetch(stage, CandidateColumns.concat(collected))
+            hm = stage_source(stage, CandidateColumns.concat(collected))
         except BevProbeError:
             raise
         except Exception as exc:
             raise RuntimeError(f"stage {stage}: heatmap source failed: {exc}") from exc
         if hm.spec != spec:
             raise ValueError(f"stage {stage}: heatmap grid spec differs from the run's")
-        masked = apply_mask(hm, accumulated)
+        # Select from the masked map and hold only it. ``accumulated`` still
+        # goes to topk_select, because its zero-score padding must skip claimed cells.
+        hm = apply_mask(hm, accumulated)
         result = topk_select(hm, accumulated, cfg.k_per_stage[stage], stage=stage)
         boxes = box_provider(result.columns) if cfg.mask_type is MaskType.BOX else None
         try:
@@ -419,10 +411,7 @@ def run_hip(
             raise ValueError(f"stage {stage}: {exc}") from exc
         accumulated = accumulate_mask(accumulated, stage_mask)
         traces.append(
-            StageTrace(
-                stage, masked, result.columns, stage_mask, accumulated,
-                result.degenerate,
-            )
+            StageTrace(stage, result.columns, stage_mask, accumulated, result.degenerate)
         )
         collected.append(result.columns)
     return HipResult(

@@ -331,8 +331,9 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
         else:
             amplitudes.append(rng.uniform(*model.hard_amplitude_range))
 
-    free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2).tolist()
     clutter: list[ClutterPeak] = []
+    if model.clutter_peaks:
+        free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2).tolist()
     for i in range(model.clutter_peaks):
         for _attempt in range(_PLACEMENT_ATTEMPTS):
             x = rng.integers(spec.size_x)
@@ -427,21 +428,14 @@ class ExperimentSetup:
             raise ValueError(
                 f"num_scenes is {self.num_scenes}, above the simulator's ceiling of {MAX_SCENES}"
             )
-        # Each splat's kernel spans (2r+1)^2 cells. Bound r by the class's largest
-        # box, plus one cell: gaussian_radius is monotone only up to rounding.
+        # A splat is drawn over its on-canvas window only, so it can be drawn if
+        # radius_for_box can take int() of its radius; a class's largest box has the largest.
         spec, render = self.params.spec, self.render_cfg
         for c, (mean_l, mean_w, jitter) in enumerate(self.params.size_table):
             sides = (max(_MIN_BOX_SIDE, m * (1.0 + jitter)) for m in (mean_l, mean_w))
-            r = gaussian_radius(*(s / spec.cell_size for s in sides), render.min_overlap) + 1.0
-            r = max(render.min_radius_cells, int(r)) if math.isfinite(r) else math.inf
-            if (2 * r + 1) ** 2 > MAX_SCENE_CELLS:
-                key = f"scene.size_table[{c}]"
-                if r == render.min_radius_cells:
-                    key = "render.min_radius_cells"
-                raise ValueError(
-                    f"{key}: a splat radius of {r} cells needs a window above the simulator's "
-                    f"ceiling of {MAX_SCENE_CELLS} cells"
-                )
+            r = gaussian_radius(*(s / spec.cell_size for s in sides), render.min_overlap)
+            if not math.isfinite(r):
+                raise ValueError(f"scene.size_table[{c}]: largest box has no finite splat radius")
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def test_criterion_01_staged_exclusion_never_reselects_masked_cells():
                         BevBox(c.world_x, c.world_y, 2.0, 1.0, 0.3, c.class_id)
                         for c in cands
                     ]
-            result = run_hip(stages, cfg, spec, box_provider=provider)
+            result = run_hip(lambda stage, _: stages[stage], cfg, spec, box_provider=provider)
             prev_bits = np.zeros(spec.shape, dtype=np.uint8)
             for trace in result.traces:
                 for cand in trace.columns.rows():

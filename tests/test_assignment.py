@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevprobe import assignment
 from bevprobe.assignment import (
     AssignmentConfig,
     MatchConfig,
@@ -507,6 +508,20 @@ class TestAssignWithGate:
             assert [(p, g) for p, g, _ in out] == want
             total = sum(costs[i, j] for i, j in hungarian_assign(costs))
             assert total == pytest.approx(best_cost, abs=1e-9)
+
+    def test_builds_one_distance_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sigma_matrix(*args)
+
+        monkeypatch.setattr(assignment, "sigma_matrix", counted)
+        preds = [pred(0.5, 0.0), pred(30.0, 0.0)]
+        gts = [gt(0, 0), gt(31.0, 0.0), gt(100.0, 0.0)]
+        out = assign_with_gate(preds, gts, AssignmentConfig(7.0))
+        assert [(p, g) for p, g, _ in out] == [(0, 0), (1, 1)]
+        assert len(calls) == 1
 
 
 class TestSigmaMatrix:

@@ -217,8 +217,9 @@ class TestSimulateCommand:
             ("hip", "mask_type", "POINT"),
             ("grid", "cell_size", 1e298),
             ("detectability", "clutter_clearance", 1e200),
-            ("render", "min_radius_cells", 1_000_000),
-            ("scene", "size_table", [[1e7, 1e7, 0.1], [0.8, 0.6, 0.1]]),
+            pytest.param("render", "min_radius_cells", 2**1024,
+                         id="render-min_radius_cells-2**1024"),
+            ("scene", "size_table", [[1e308, 1e308, 0.9], [0.8, 0.6, 0.1]]),
             ("scene", "num_objects_range", [0, 10**30]),
         ],
     )
@@ -230,6 +231,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert (f"{section}.{key}" if section else key) in err
         assert "Traceback" not in err
+
+    def test_splat_far_wider_than_the_grid_runs_in_grid_sized_memory(self, tmp_path, capsys):
+        # A splat is drawn over its on-canvas window only, so a radius of 3,898
+        # cells on a 64 x 64 grid is no config error.
+        cfg = tiny_config()
+        cfg["grid"] = {"size_x": 64, "size_y": 64, "num_classes": 1,
+                       "cell_size": 0.5, "origin_x": -16.0, "origin_y": -16.0}
+        cfg["scene"].update(class_mix=[1.0], size_table=[[3000.0, 3000.0, 0.9]])
+        cfg["hip"]["small_classes"] = []
+        cfg_path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 8 << 20
 
     def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys):
         cfg = tiny_config()
@@ -305,7 +324,8 @@ class TestProbeCommand:
             "--output-dir", str(out), "--k", "4",
         ])
         assert code == 0
-        expected = run_hip(maps, HipConfig(2, (4, 4), MaskType.POINT), spec)
+        cfg = HipConfig(2, (4, 4), MaskType.POINT)
+        expected = run_hip(lambda stage, _: maps[stage], cfg, spec)
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.columns.rows()
         acc = load_accumulated_mask(out / "mask_accumulated.bevgrid")
@@ -313,6 +333,22 @@ class TestProbeCommand:
         for trace in expected.traces:
             per_stage = load_accumulated_mask(out / f"mask_stage_{trace.stage}.bevgrid")
             np.testing.assert_array_equal(per_stage.bits, trace.positive_mask.bits)
+
+    def test_each_stage_file_is_read_when_its_stage_starts(self, tmp_path):
+        # No stage heatmap is loaded ahead of its stage or kept after it, so
+        # two more stages raise the peak by less than one heatmap.
+        _, paths, maps = stage_files(tmp_path, num_stages=3, size=256, num_classes=4)
+        peaks = {}
+        for n in (1, 3):
+            argv = ["probe", *(f"--stage={p}" for p in paths[:n]),
+                    "--output-dir", str(tmp_path / f"out{n}"), "--k", "200"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] - peaks[1] < maps[0].values.nbytes
 
     def test_pooling_and_small_classes(self, tmp_path):
         spec, paths, maps = stage_files(tmp_path)
@@ -324,7 +360,7 @@ class TestProbeCommand:
         ])
         assert code == 0
         cfg = HipConfig(2, (3, 5), MaskType.POOLING, frozenset({1}), 3)
-        expected = run_hip(maps, cfg, spec)
+        expected = run_hip(lambda stage, _: maps[stage], cfg, spec)
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.columns.rows()
 
@@ -358,7 +394,8 @@ class TestProbeCommand:
             return [BevBox(c.world_x, c.world_y, 2.0, 1.0, 0.0, c.class_id) for c in cands]
 
         expected = run_hip(
-            maps, HipConfig(2, (3, 3), MaskType.BOX), spec, box_provider=provider
+            lambda stage, _: maps[stage], HipConfig(2, (3, 3), MaskType.BOX), spec,
+            box_provider=provider,
         )
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.columns.rows()

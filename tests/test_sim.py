@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bevprobe import sim
 from bevprobe.bev_grid import (
     BevGridSpec,
     GaussianRenderConfig,
@@ -360,6 +361,19 @@ class TestClutterTable:
         assert outcome(generate_scene, params, model) == outcome(
             generate_scene_oracle, params, model
         )
+
+    def test_built_only_when_clutter_is_drawn(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _clutter_free_cells(*args)
+
+        monkeypatch.setattr(sim, "_clutter_free_cells", counted)
+        assert generate_scene(make_params(), make_model(clutter_peaks=0)).clutter == ()
+        assert calls == []
+        assert len(generate_scene(make_params(), make_model()).clutter) == 40
+        assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
