@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BevBox, BoxColumns, rotated_iou_bev
+from .geometry import BevBox, BoxColumns, corners_iou
 from .hip import Candidate, CandidateColumns
 
 
@@ -130,7 +130,8 @@ def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) ->
         pred_rows, gt_rows = tuple(preds), tuple(gts)  # each side's rows, built once
         if not all(isinstance(p, BevBox) for p in pred_rows):
             raise ValueError("IoU matching requires box predictions")
-        iou = [[rotated_iou_bev(p, g) for g in gt_rows] for p in pred_rows]
+        pred_corners, gt_corners = ([b.corners() for b in rows] for rows in (pred_rows, gt_rows))
+        iou = [[corners_iou(p, g) for g in gt_corners] for p in pred_corners]
         return np.array(iou, dtype=np.float64).reshape(len(pred_rows), len(gt_rows))
     preds, gts = prediction_columns(preds), BoxColumns.of(gts)
     if isinstance(preds, CandidateColumns):

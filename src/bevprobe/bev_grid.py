@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -74,13 +74,24 @@ class BevGridSpec:
         return 0 <= x < self.size_x and 0 <= y < self.size_y
 
 
-def frozen_grid(spec: BevGridSpec, values, dtype, what: str) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``values``, which must have the grid's shape."""
-    arr = np.array(values, dtype=dtype)
+def frozen_grid(spec: BevGridSpec, values, dtype, what: str, copy: bool = True) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``, which must have the grid's
+    shape; ``values`` itself if it has the dtype and ``copy`` is False."""
+    arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
     if arr.shape != spec.shape:
         raise ValueError(f"{what} shape {arr.shape} does not match grid shape {spec.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def adopt_grid(cls, spec: BevGridSpec, values: np.ndarray):
+    """``cls(spec, values)`` for ``Heatmap`` or ``PositiveMask``, with every check
+    but without the copy: only for an array that its caller just built."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), (spec, values)):
+        object.__setattr__(obj, f.name, value)
+    obj.__post_init__(copy=False)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,8 @@ class Heatmap:
     spec: BevGridSpec
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = frozen_grid(self.spec, self.values, np.float32, "heatmap")
+    def __post_init__(self, copy: bool = True) -> None:
+        arr = frozen_grid(self.spec, self.values, np.float32, "heatmap", copy)
         # NaN fails both comparisons.
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("heatmap values must lie in [0, 1] and contain no NaNs")
@@ -103,7 +114,7 @@ class Heatmap:
 
     @classmethod
     def zeros(cls, spec: BevGridSpec) -> "Heatmap":
-        return cls(spec, np.zeros(spec.shape, dtype=np.float32))
+        return adopt_grid(cls, spec, np.zeros(spec.shape, dtype=np.float32))
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,7 @@ def write_grid_tensor(
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr)
 
 
 def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, str]:
@@ -277,29 +288,30 @@ def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, 
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise DataError(f"{path}: missing header line")
+            header = decode_json(line[:-1], f"{path}: malformed header", DataError)
+            if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
+                raise DataError(f"{path}: not a {_FORMAT_TAG} file")
+            dtype = header.get("dtype")
+            if dtype not in _DTYPES:
+                raise DataError(f"{path}: unsupported dtype {dtype!r}")
+            for key, want in (("layout", "CYX"), ("endianness", "little")):
+                if header.get(key) != want:
+                    raise DataError(f"{path}: unsupported {key} {header.get(key)!r}")
+            spec = from_json(BevGridSpec, header.get("spec"), f"{path}: spec", err=DataError)
+            np_dtype = _DTYPES[dtype]
+            expected = spec.num_classes * spec.size_y * spec.size_x * np_dtype.itemsize
+            blob_len = os.fstat(fh.fileno()).st_size - len(line)
+            # Read into an aligned array the caller may adopt; a pipe has no size.
+            if blob_len == expected or blob_len < 0:
+                values = np.empty(spec.shape, dtype=np_dtype)
+                blob_len = fh.readinto(values) + len(fh.read())
+    except (OSError, MemoryError) as exc:
         raise DataError(f"cannot read grid tensor {path}: {exc}") from exc
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise DataError(f"{path}: missing header line")
-    header = decode_json(raw[:newline], f"{path}: malformed header", DataError)
-    if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
-        raise DataError(f"{path}: not a {_FORMAT_TAG} file")
-    dtype = header.get("dtype")
-    if dtype not in _DTYPES:
-        raise DataError(f"{path}: unsupported dtype {dtype!r}")
-    if header.get("layout") != "CYX":
-        raise DataError(f"{path}: unsupported layout {header.get('layout')!r}")
-    if header.get("endianness") != "little":
-        raise DataError(f"{path}: unsupported endianness {header.get('endianness')!r}")
-    spec = from_json(BevGridSpec, header.get("spec"), f"{path}: spec", err=DataError)
-    np_dtype = _DTYPES[dtype]
-    expected = spec.num_classes * spec.size_y * spec.size_x * np_dtype.itemsize
-    blob_len = len(raw) - newline - 1
     if blob_len != expected:
         raise DataError(f"{path}: blob holds {blob_len} bytes, header implies {expected}")
-    values = np.frombuffer(raw, dtype=np_dtype, offset=newline + 1).reshape(spec.shape)
     return spec, values, dtype
 
 
@@ -315,7 +327,7 @@ def load_grid(path: str | os.PathLike, cls, dtype: str, what: str):
     if found != dtype:
         raise DataError(f"{path}: expected {what}, found dtype {found!r}")
     try:
-        return cls(spec, values)
+        return adopt_grid(cls, spec, values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -225,7 +225,11 @@ def rotated_iou_bev(a: BevBox, b: BevBox) -> float:
     Both footprint areas come from the same shoelace evaluation as the
     intersection, so identical boxes give exactly 1.0.
     """
-    ca, cb = a.corners(), b.corners()
+    return corners_iou(a.corners(), b.corners())
+
+
+def corners_iou(ca: np.ndarray, cb: np.ndarray) -> float:
+    """:func:`rotated_iou_bev` of two boxes given by their ``corners()``."""
     inter_poly = clip_polygon(ca, cb)
     if len(inter_poly) < 3:
         return 0.0

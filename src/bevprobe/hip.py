@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bev_grid import BevGridSpec, Heatmap, frozen_grid, load_grid, write_grid_tensor
+from .bev_grid import BevGridSpec, Heatmap, adopt_grid, frozen_grid, load_grid, write_grid_tensor
 from .columns import RowColumns
 from .errors import BevProbeError, DataError, decode_json, from_json
 from .geometry import BevBox, BoxColumns, box_corners
@@ -132,15 +132,15 @@ class PositiveMask:
     spec: BevGridSpec
     bits: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = frozen_grid(self.spec, self.bits, np.uint8, "mask")
+    def __post_init__(self, copy: bool = True) -> None:
+        arr = frozen_grid(self.spec, self.bits, np.uint8, "mask", copy)
         if arr.max() > 1:
             raise ValueError("mask bits must be 0 or 1")
         object.__setattr__(self, "bits", arr)
 
     @classmethod
     def zeros(cls, spec: BevGridSpec) -> "PositiveMask":
-        return cls(spec, np.zeros(spec.shape, dtype=np.uint8))
+        return adopt_grid(cls, spec, np.zeros(spec.shape, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -169,32 +169,28 @@ def topk_select(
         raise ValueError("accumulated mask grid spec does not match the heatmap")
     flat = heatmap.values.ravel()
     n = flat.size
-    n_open = n
-    if accumulated is not None:
-        taken = accumulated.bits.ravel().view(np.bool_)
-        n_open = n - int(np.count_nonzero(taken))
+    taken = None if accumulated is None else accumulated.bits.ravel().view(np.bool_)
+    n_open = n if taken is None else n - int(np.count_nonzero(taken))
     if n_open == 0:
         return TopKResult(CandidateColumns.of(()), True)
-    # Rank by negated score, which lies in [-1, 0], with +1 for every claimed
-    # cell: np.partition selects from the low end much faster than from the
-    # high end when most scores tie at zero.
-    if n_open == n:
+    pool = _floor_pool(flat, taken, k) if k < n_open else None
+    if pool is not None:
+        chosen = pool[_k_lowest(-flat[pool], k)]
+    elif k >= n_open:
+        chosen = np.arange(n) if taken is None else np.flatnonzero(~taken)
+    else:
+        # Rank by negated score, which lies in [-1, 0], with +1 for every claimed
+        # cell: np.partition selects from the low end much faster than from the
+        # high end when most scores tie at zero.
         work = -flat
-    else:
-        work = np.where(taken, np.float32(-1), flat)
-        np.negative(work, out=work)
-    if k >= n_open:
-        chosen = np.flatnonzero(work <= 0)
-    else:
-        kth = np.partition(work, k - 1)[k - 1]
-        above = np.flatnonzero(work < kth)
-        at_kth = np.flatnonzero(work == kth)[: k - above.size]
-        chosen = np.concatenate([above, at_kth])
+        if n_open < n:
+            np.copyto(work, np.float32(1), where=taken)
+        chosen = _k_lowest(work, k)
     # Flat C-order index equals (class * Y + y) * X + x, so ascending index
     # is exactly the (class, y, x) tie order.
-    order = np.lexsort((chosen, work[chosen]))
-    chosen = chosen[order]
     scores = flat[chosen]
+    order = np.lexsort((chosen, -scores))
+    chosen, scores = chosen[order], scores[order]
     cls, ys, xs = np.unravel_index(chosen, spec.shape)
     # Every index lies below the cell count; int32 index columns take half
     # the bytes of intp ones when outcomes are pickled between processes.
@@ -204,6 +200,27 @@ def topk_select(
         np.full(chosen.size, stage, dtype=index), *spec.grid_to_world((xs, ys)),
     )
     return TopKResult(cols, int(np.count_nonzero(scores > 0.0)) < k)
+
+
+def _k_lowest(work: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k lowest of ``work``, ties taken in index order."""
+    kth = np.partition(work, k - 1)[k - 1]
+    above = np.flatnonzero(work < kth)
+    return np.concatenate([above, np.flatnonzero(work == kth)[: k - above.size]])
+
+
+def _floor_pool(flat: np.ndarray, taken: np.ndarray | None, k: int) -> np.ndarray | None:
+    """Ascending indices of the open cells that score at least a floor
+    sampled from every 64th cell to admit about 2k cells, or None unless
+    the floor is positive and at least k open cells reach it. Such a pool
+    holds the whole top k and every tie at the k-th score."""
+    sample = flat[::64]
+    rank = sample.size - 2 * (k // 64) - 8
+    if rank < 0 or not (floor := np.partition(sample, rank)[rank]) > 0:
+        return None
+    pool = np.flatnonzero(flat >= floor)
+    pool = pool if taken is None else pool[~taken[pool]]
+    return pool if pool.size >= k else None
 
 
 # Upper bound on padded window cells rasterized at once; a single box whose
@@ -327,22 +344,23 @@ def build_positive_mask(
         if len(boxes) != n:
             raise ValueError(f"{n} candidates but {len(boxes)} predicted boxes")
         _rasterize_boxes(bits, cls, BoxColumns.of(boxes), spec)
-    return PositiveMask(spec, bits)
+    return adopt_grid(PositiveMask, spec, bits)
 
 
 def accumulate_mask(accumulated: PositiveMask, mask: PositiveMask) -> PositiveMask:
     """Fold one stage mask into the running union (elementwise max)."""
     if accumulated.spec != mask.spec:
         raise ValueError("mask grid specs do not match")
-    return PositiveMask(accumulated.spec, np.maximum(accumulated.bits, mask.bits))
+    return adopt_grid(PositiveMask, accumulated.spec, np.maximum(accumulated.bits, mask.bits))
 
 
 def apply_mask(heatmap: Heatmap, accumulated: PositiveMask) -> Heatmap:
-    """Zero out claimed cells: values * (1 - bits), untouched elsewhere."""
+    """Zero out claimed cells, leaving the others untouched."""
     if heatmap.spec != accumulated.spec:
         raise ValueError("mask grid spec does not match the heatmap")
-    # bool promotes to float32 1/0, which equals (1 - bits) cast to float32.
-    return Heatmap(heatmap.spec, heatmap.values * (accumulated.bits == 0))
+    # Bits are 0/1, so they view as bool without a full-grid temporary.
+    claimed = accumulated.bits.view(np.bool_)
+    return adopt_grid(Heatmap, heatmap.spec, np.where(claimed, np.float32(0), heatmap.values))
 
 
 StageSource = Callable[[int, Sequence[Candidate]], Heatmap]

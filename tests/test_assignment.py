@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevprobe import assignment
+from bevprobe import assignment, geometry
 from bevprobe.assignment import (
     AssignmentConfig,
     MatchConfig,
@@ -562,6 +562,36 @@ class TestSigmaMatrix:
 
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_iou_equals_per_pair_rotated_iou_on_free_boxes(self, data):
+        finite = st.floats(-20.0, 20.0, allow_nan=False)
+        extent = st.floats(0.1, 12.0)
+        boxes = st.lists(st.builds(BevBox, finite, finite, extent, extent,
+                                   st.floats(-math.pi, math.pi), st.integers(0, 2)), max_size=6)
+        preds, gts = data.draw(boxes), data.draw(boxes)
+
+        got = sigma_matrix(preds, gts, MatchMetric.ROTATED_IOU)
+
+        want = np.array([[rotated_iou_bev(p, g) for g in gts] for p in preds], dtype=np.float64)
+        assert got.tobytes() == want.reshape(len(preds), len(gts)).tobytes()
+
+    def test_iou_computes_each_box_corners_once(self, monkeypatch):
+        calls = []
+        box_corners = geometry.box_corners
+
+        def counted(*args):
+            calls.append(args)
+            return box_corners(*args)
+
+        monkeypatch.setattr(geometry, "box_corners", counted)
+        rng = RNG(8)
+        preds, gts = ([BevBox(*rng.uniform(-10, 10, 2), 4.0, 2.0, float(rng.uniform(-3, 3)), 0,
+                              score=0.5) for _ in range(50)] for _ in range(2))
+        sig = sigma_matrix(preds, gts, MatchMetric.ROTATED_IOU)
+        assert sig.shape == (50, 50) and (sig > 0).any()
+        assert len(calls) <= 100
 
     def test_iou_rejects_candidates_as_the_pair_loop_did(self):
         c = Candidate(0, 0, 0, 0.9, 0, 0.0, 0.0)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from bevprobe.bev_grid import (
     BevGridSpec,
     GaussianRenderConfig,
     Heatmap,
+    adopt_grid,
     draw_gaussian_peak,
     gaussian_radius,
     load_heatmap,
@@ -23,6 +26,7 @@ from bevprobe.bev_grid import (
 from bevprobe.cli import main
 from bevprobe.errors import DataError
 from bevprobe.geometry import BevBox
+from bevprobe.hip import PositiveMask, save_mask
 
 RNG = np.random.default_rng
 
@@ -91,6 +95,30 @@ class TestHeatmap:
         assert hm.values[0, 0, 0] == 0.0
         with pytest.raises(ValueError):
             hm.values[0, 0, 0] = 0.5
+
+    def test_adopted_array_is_frozen_not_copied_and_still_checked(self):
+        spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
+        for cls, dtype, bad in ((Heatmap, np.float32, 1.5), (PositiveMask, np.uint8, 2)):
+            fresh = np.zeros(spec.shape, dtype=dtype)
+            grid = adopt_grid(cls, spec, fresh)
+            assert type(grid) is cls and grid.spec is spec
+            assert getattr(grid, "values" if cls is Heatmap else "bits") is fresh
+            assert not fresh.flags.writeable
+            with pytest.raises(ValueError, match="shape"):
+                adopt_grid(cls, spec, np.zeros((1, 2, 3), dtype=dtype))
+            with pytest.raises(ValueError, match="must"):
+                adopt_grid(cls, spec, np.full(spec.shape, bad, dtype=dtype))
+        with pytest.raises(ValueError, match="NaN"):
+            adopt_grid(Heatmap, spec, np.full(spec.shape, np.nan, dtype=np.float32))
+
+    def test_mask_bits_frozen_and_copied(self):
+        spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
+        source = np.zeros(spec.shape, dtype=np.uint8)
+        mask = PositiveMask(spec, source)
+        source[0, 0, 0] = 1
+        assert mask.bits[0, 0, 0] == 0
+        with pytest.raises(ValueError):
+            mask.bits[0, 0, 0] = 1
 
     def test_zeros(self):
         spec = BevGridSpec(3, 2, 2, 1.0, 0.0, 0.0)
@@ -410,6 +438,88 @@ class TestHeatmapFileFormat:
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err
             assert not out.exists()
+
+    def test_pipe_reads_like_a_file(self, tmp_path):
+        # A pipe reports no size, so its blob is read and then counted.
+        path = tmp_path / "map.bevgrid"
+        save_heatmap(path, self._heatmap())
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for tail in (b"", b"\x00"):
+            writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes() + tail,))
+            writer.start()
+            try:
+                if tail:
+                    with pytest.raises(DataError, match="blob holds 961 bytes, header implies 960"):
+                        load_heatmap(fifo)
+                else:
+                    assert load_heatmap(fifo).values.tobytes() == load_heatmap(path).values.tobytes()
+            finally:
+                writer.join()
+        # A header that no memory can hold, on a pipe whose size is unknown.
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        header["spec"].update(size_x=10**6, size_y=10**6, num_classes=1000)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(json.dumps(header).encode() + b"\n" + bytes(64),))
+        writer.start()
+        try:
+            with pytest.raises(DataError):
+                load_heatmap(fifo)
+        finally:
+            writer.join()
+
+    def test_loaded_values_are_read_only(self, tmp_path):
+        path = tmp_path / "map.bevgrid"
+        save_heatmap(path, self._heatmap())
+        back = load_heatmap(path)
+        assert not back.values.flags.writeable and back.values.flags.aligned
+        with pytest.raises(ValueError):
+            back.values[0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("case", ["truncated", "extra_byte", "no_newline", "empty", "u8"])
+    def test_malformed_file_message_and_probe_exit(self, tmp_path, capsys, case):
+        hm = self._heatmap()
+        path = tmp_path / "map.bevgrid"
+        save_heatmap(path, hm)
+        data = path.read_bytes()
+        header = data.split(b"\n", 1)[0]
+        size = hm.values.nbytes
+        if case == "truncated":
+            path.write_bytes(data[:-1])
+            message = f"{path}: blob holds {size - 1} bytes, header implies {size}"
+        elif case == "extra_byte":
+            path.write_bytes(data + b"\x00")
+            message = f"{path}: blob holds {size + 1} bytes, header implies {size}"
+        elif case == "no_newline":
+            path.write_bytes(header)
+            message = f"{path}: missing header line"
+        elif case == "empty":
+            path.write_bytes(b"")
+            message = f"{path}: missing header line"
+        else:
+            save_mask(path, PositiveMask.zeros(hm.spec))
+            message = f"{path}: expected an f32 heatmap, found dtype 'u8'"
+        with pytest.raises(DataError) as info:
+            load_heatmap(path)
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        assert main(["probe", "--stage", str(path), "--output-dir", str(out), "--k", "3"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_out_of_range_value_in_file_rejected(self, tmp_path, capsys, bad):
+        spec = BevGridSpec(3, 2, 1, 1.0, 0.0, 0.0)
+        values = np.zeros(spec.shape, dtype=np.float32)
+        values[0, 1, 2] = bad
+        path = tmp_path / "map.bevgrid"
+        write_grid_tensor(path, spec, values, "f32")
+        with pytest.raises(DataError, match="must lie in \\[0, 1\\]"):
+            load_heatmap(path)
+        out = tmp_path / "out"
+        assert main(["probe", "--stage", str(path), "--output-dir", str(out), "--k", "3"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_out_of_range_payload_rejected(self, tmp_path):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)

@@ -350,6 +350,23 @@ class TestProbeCommand:
                 tracemalloc.stop()
         assert peaks[3] - peaks[1] < maps[0].values.nbytes
 
+    @pytest.mark.parametrize("mask_flags", [
+        [], ["--mask-type", "box", "--box-length", "2.0", "--box-width", "1.0"],
+    ])
+    def test_three_stage_peak_stays_under_three_and_a_half_heatmaps(self, tmp_path, mask_flags):
+        # Each stage holds its loaded map and the masked map it selects from,
+        # plus the masks; a copy of either map that nothing reads breaks this.
+        _, paths, maps = stage_files(tmp_path, num_stages=3, size=256, num_classes=4)
+        argv = ["probe", *(f"--stage={p}" for p in paths),
+                "--output-dir", str(tmp_path / "out"), "--k", "200", *mask_flags]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * maps[0].values.nbytes
+
     def test_pooling_and_small_classes(self, tmp_path):
         spec, paths, maps = stage_files(tmp_path)
         out = tmp_path / "out"

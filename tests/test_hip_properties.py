@@ -37,6 +37,8 @@ from bevprobe.hip import (
 )
 from bevprobe.metrics import RecallConfig, average_recall
 
+RNG = np.random.default_rng
+
 
 def full_sort_topk(values, bits, k):
     """Oracle: open cells sorted by (-score, class, y, x), first k kept."""
@@ -174,6 +176,90 @@ class TestTopkProperties:
         )
         assert all(type(c.x) is int and type(c.score) is float for c in got.columns.rows())
         assert got.degenerate == (sum(1 for *_cyx, s in expect if s > 0.0) < k)
+
+
+def lexsort_topk(values, bits, k):
+    """Oracle: flat indices of the open cells, fully sorted by score
+    descending then index ascending, first k kept."""
+    flat = values.ravel()
+    cells = np.flatnonzero(bits.ravel() == 0)
+    return cells[np.lexsort((cells, -flat[cells]))][:k]
+
+
+FLOOR_MAPS = ("spread", "levels", "avoids_samples", "zeros", "sparse", "tie_at_floor")
+
+
+def floor_map(kind, shape, rng):
+    """A heatmap shaped to steer ``topk_select``'s sampled floor: onto many
+    distinct scores, onto a few tied levels, off every 64th cell (whose
+    samples then read 0), to 0, or onto one score shared by the sampled
+    floor, the k-th cell and most of the grid."""
+    n = int(np.prod(shape))
+    if kind == "spread":
+        flat = rng.random(n, dtype=np.float32)
+    elif kind == "levels":
+        flat = (rng.integers(0, 4, n) / 4).astype(np.float32)
+    elif kind == "avoids_samples":
+        flat = rng.random(n, dtype=np.float32)
+        flat[::64] = 0
+    elif kind == "zeros":
+        flat = np.zeros(n, dtype=np.float32)
+    elif kind == "sparse":
+        flat = np.where(rng.random(n) < 0.05, rng.random(n), 0).astype(np.float32)
+    else:
+        flat = np.full(n, np.float32(0.5))
+        flat[rng.random(n) < 0.01] = np.float32(0.75)
+    return flat.reshape(shape)
+
+
+class TestTopkFloorPath:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_lexsort_oracle(self, data):
+        # Grids of 256 to 8,192 cells give 4 to 128 samples, so the floor
+        # path and each fallback (too few samples, a floor of 0, a pool
+        # under k) are reached.
+        spec = BevGridSpec(data.draw(st.integers(16, 64)), data.draw(st.integers(16, 64)),
+                           data.draw(st.integers(1, 2)), 0.5, -3.0, -3.0)
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1)))
+        values = floor_map(data.draw(st.sampled_from(FLOOR_MAPS)), spec.shape, rng)
+        n = values.size
+        # None, sparse, or claiming more than half the grid; the map is
+        # either masked, as run_hip passes it, or left unmasked.
+        density = data.draw(st.sampled_from([None, 0.05, 0.6, 0.95]))
+        if density is None:
+            bits, accumulated = np.zeros(spec.shape, dtype=np.uint8), None
+        else:
+            bits = (rng.random(spec.shape) < density).astype(np.uint8)
+            accumulated = PositiveMask(spec, bits)
+            if data.draw(st.booleans()):
+                values = values * (bits == 0)
+        n_open = n - int(bits.sum())
+        k = data.draw(st.one_of(st.sampled_from([1, 63, 64, 200, 500]), st.integers(1, n + 2),
+                                st.just(max(1, n_open - 1))))
+
+        got = topk_select(Heatmap(spec, values), accumulated, k, stage=1)
+
+        want = lexsort_topk(values, bits, k)
+        cls, ys, xs = np.unravel_index(want, spec.shape)
+        assert np.array_equal(got.columns.class_id, cls)
+        assert np.array_equal(got.columns.y, ys) and np.array_equal(got.columns.x, xs)
+        assert got.columns.score.tobytes() == values.ravel()[want].tobytes()
+        assert got.degenerate == (np.count_nonzero(values.ravel()[want] > 0) < k)
+
+    def test_floor_pool_holds_the_top_k_and_every_tie(self):
+        rng = RNG(5)
+        values = floor_map("tie_at_floor", (2, 64, 64), rng)
+        for k in (1, 40, 200):
+            pool = hip._floor_pool(values.ravel(), None, k)
+            assert pool is not None and pool.size >= k
+            kth = np.sort(values.ravel())[::-1][k - 1]
+            assert set(np.flatnonzero(values.ravel() >= kth)) <= set(pool.tolist())
+
+    @pytest.mark.parametrize("kind", ["zeros", "avoids_samples"])
+    def test_no_positive_floor_takes_the_full_path(self, kind):
+        values = floor_map(kind, (2, 64, 64), RNG(6))
+        assert hip._floor_pool(values.ravel(), None, 10) is None
 
 
 class TestBoxMaskProperties:
