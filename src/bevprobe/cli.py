@@ -127,8 +127,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
         "mean_delta": result.mean_delta,
         "frac_scenes_delta_nonneg": result.frac_nonneg_delta,
-        "num_scenes": result.num_scenes,
-        "total_budget": result.total_budget,
+        "num_scenes": len(result.scenes),
+        "total_budget": setup.hip_cfg.total_k,
         "thresholds": list(setup.recall_cfg.thresholds),
         "per_scene": per_scene,
     }

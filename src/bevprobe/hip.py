@@ -369,17 +369,18 @@ BoxProvider = Callable[[Sequence[Candidate]], Sequence[BevBox]]
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Everything one stage produced."""
+    """One stage's selections, its own mask and its degenerate flag."""
 
     stage: int
     columns: CandidateColumns
     positive_mask: PositiveMask
-    accumulated_mask: PositiveMask
     degenerate: bool
 
 
 @dataclass(frozen=True)
 class HipResult:
+    """The run's candidates, the union of its stage masks, and its stages."""
+
     columns: CandidateColumns
     accumulated_mask: PositiveMask
     traces: tuple[StageTrace, ...]
@@ -407,11 +408,10 @@ def run_hip(
         raise ValueError("box masking requires a box_provider")
 
     accumulated = PositiveMask.zeros(spec)
-    collected: list[CandidateColumns] = []
     traces: list[StageTrace] = []
     for stage in range(cfg.num_stages):
         try:
-            hm = stage_source(stage, CandidateColumns.concat(collected))
+            hm = stage_source(stage, CandidateColumns.concat([t.columns for t in traces]))
         except BevProbeError:
             raise
         except Exception as exc:
@@ -428,12 +428,9 @@ def run_hip(
         except ValueError as exc:
             raise ValueError(f"stage {stage}: {exc}") from exc
         accumulated = accumulate_mask(accumulated, stage_mask)
-        traces.append(
-            StageTrace(stage, result.columns, stage_mask, accumulated, result.degenerate)
-        )
-        collected.append(result.columns)
+        traces.append(StageTrace(stage, result.columns, stage_mask, result.degenerate))
     return HipResult(
-        CandidateColumns.concat(collected),
+        CandidateColumns.concat([t.columns for t in traces]),
         accumulated,
         tuple(traces),
         any(t.degenerate for t in traces),

@@ -458,11 +458,8 @@ class ArmSummary:
 class ExperimentResult:
     scenes: tuple[SceneOutcome, ...]
     arms: dict[str, ArmSummary]
-    deltas: tuple[float, ...]
     mean_delta: float
     frac_nonneg_delta: float
-    num_scenes: int
-    total_budget: int
 
 
 ARM_PROBE = "hip"
@@ -555,17 +552,12 @@ def run_experiment(setup: ExperimentSetup, jobs: int = 1) -> ExperimentResult:
         arm_reports = [o.reports[arm] for o in outcomes]
         mean_mar = sum(r.mean_average_recall for r in arm_reports) / len(arm_reports)
         arms[arm] = ArmSummary(mean_mar, merge_reports(arm_reports, setup.recall_cfg))
-    deltas = tuple(o.delta for o in outcomes)
-    mean_delta = sum(deltas) / len(deltas)
-    frac_nonneg = sum(1 for d in deltas if d >= 0.0) / len(deltas)
+    deltas = [o.delta for o in outcomes]
     return ExperimentResult(
         scenes=tuple(outcomes),
         arms=arms,
-        deltas=deltas,
-        mean_delta=mean_delta,
-        frac_nonneg_delta=frac_nonneg,
-        num_scenes=setup.num_scenes,
-        total_budget=setup.hip_cfg.total_k,
+        mean_delta=sum(deltas) / n,
+        frac_nonneg_delta=sum(1 for d in deltas if d >= 0.0) / n,
     )
 
 

@@ -209,7 +209,7 @@ def test_criterion_01_staged_exclusion_never_reselects_masked_cells():
             for trace in result.traces:
                 for cand in trace.columns.rows():
                     assert prev_bits[cand.class_id, cand.y, cand.x] == 0
-                prev_bits = trace.accumulated_mask.bits
+                prev_bits = np.maximum(prev_bits, trace.positive_mask.bits)
             if mode is MaskType.POINT:
                 triples = [(c.class_id, c.y, c.x) for c in result.columns.rows()]
                 assert len(triples) == len(set(triples))

@@ -1,5 +1,5 @@
 """Property tests for the vectorized top-k, mask and candidate-column
-layers of ``hip``.
+layers of ``hip``, and for the staged loop ``run_hip`` built on them.
 
 Each test compares the array implementation with a plain oracle: a full
 sort of the open cells for ``topk_select``, the per-box window rasterizer
@@ -30,9 +30,11 @@ from bevprobe.hip import (
     HipConfig,
     MaskType,
     PositiveMask,
+    apply_mask,
     build_positive_mask,
     candidates_from_jsonl,
     encode_compact_json,
+    run_hip,
     topk_select,
 )
 from bevprobe.metrics import RecallConfig, average_recall
@@ -430,6 +432,53 @@ class TestMaskProperties:
         else:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 build_positive_mask(candidates, cfg, spec)
+
+
+class TestRunHipProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stages_select_outside_the_union_of_earlier_masks(self, data):
+        spec = data.draw(grid_specs(max_size=12))
+        n = spec.num_classes * spec.size_y * spec.size_x
+        num_stages = data.draw(st.integers(1, 4))
+        mode = data.draw(st.sampled_from(list(MaskType)))
+        cfg = HipConfig(
+            num_stages=num_stages,
+            # Up to past the grid size, so stages that run out of cells are covered.
+            k_per_stage=data.draw(st.lists(st.integers(1, n + 2), min_size=num_stages,
+                                           max_size=num_stages)),
+            mask_type=mode,
+            small_classes=data.draw(st.frozensets(st.integers(0, spec.num_classes - 1))),
+            pooling_kernel=data.draw(st.sampled_from([1, 3, 5])),
+        )
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1)))
+        # Tie-heavy or mostly zero maps, drawn anew for each stage.
+        kind = data.draw(st.sampled_from(["levels", "tie_at_floor", "sparse", "zeros"]))
+        maps = [Heatmap(spec, floor_map(kind, spec.shape, rng)) for _ in range(num_stages)]
+        length, width = (data.draw(box_extents(spec.cell_size)) for _ in range(2))
+
+        def provider(cands):
+            m = len(cands)
+            size = np.full(m, length), np.full(m, width)
+            return BoxColumns(cands.world_x, cands.world_y, *size, np.zeros(m), cands.class_id)
+
+        result = run_hip(lambda stage, _: maps[stage], cfg, spec,
+                         box_provider=provider if mode is MaskType.BOX else None)
+
+        assert [t.stage for t in result.traces] == list(range(num_stages))
+        union = np.zeros(spec.shape, dtype=np.uint8)
+        for trace, hm in zip(result.traces, maps):
+            cols = trace.columns
+            assert not union[cols.class_id, cols.y, cols.x].any()
+            earlier = PositiveMask(spec, union)
+            k = cfg.k_per_stage[trace.stage]
+            expect = topk_select(apply_mask(hm, earlier), earlier, k, trace.stage)
+            assert cols == expect.columns
+            assert trace.degenerate == expect.degenerate
+            union |= trace.positive_mask.bits
+        assert result.accumulated_mask.bits.tobytes() == union.tobytes()
+        assert result.columns == CandidateColumns.concat([t.columns for t in result.traces])
+        assert result.degenerate == any(t.degenerate for t in result.traces)
 
 
 def candidate_record(cand, scene_id=None):

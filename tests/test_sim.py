@@ -710,18 +710,14 @@ class TestExperiment:
     def test_shapes_and_aggregates(self):
         setup = make_setup(num_scenes=4)
         result = run_experiment(setup)
-        assert result.num_scenes == 4
-        assert len(result.scenes) == len(result.deltas) == 4
+        deltas = [o.delta for o in result.scenes]
+        assert len(result.scenes) == 4
         assert [o.scene_id for o in result.scenes] == [
             "scene_0000", "scene_0001", "scene_0002", "scene_0003"
         ]
-        assert result.total_budget == 12
-        assert result.mean_delta == pytest.approx(
-            sum(result.deltas) / 4, abs=1e-15
-        )
-        assert result.frac_nonneg_delta == sum(
-            1 for d in result.deltas if d >= 0
-        ) / 4
+        assert setup.hip_cfg.total_k == setup.baseline_cfg.total_k == 12
+        assert result.mean_delta == pytest.approx(sum(deltas) / 4, abs=1e-15)
+        assert result.frac_nonneg_delta == sum(1 for d in deltas if d >= 0) / 4
         for arm in (ARM_PROBE, ARM_BASELINE):
             pooled = result.arms[arm].pooled
             assert pooled.num_gt == sum(
@@ -738,7 +734,7 @@ class TestExperiment:
         # so a baseline hit stays a hit under probing and the per-scene
         # delta cannot go negative in this setup.
         result = run_experiment(make_setup(num_scenes=6))
-        assert min(result.deltas) >= 0.0
+        assert min(o.delta for o in result.scenes) >= 0.0
         assert result.arms[ARM_PROBE].mean_mar >= result.arms[ARM_BASELINE].mean_mar
 
     def test_deterministic_rerun(self):
