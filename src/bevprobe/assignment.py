@@ -127,12 +127,11 @@ def prediction_columns(preds: Sequence) -> CandidateColumns | BoxColumns:
 def sigma_matrix(preds: Sequence, gts: Sequence[BevBox], metric: MatchMetric) -> np.ndarray:
     """Pairwise similarity between predictions (rows) and ground truth."""
     if metric is MatchMetric.ROTATED_IOU:
-        pred_rows, gt_rows = tuple(preds), tuple(gts)  # each side's rows, built once
-        if not all(isinstance(p, BevBox) for p in pred_rows):
+        if not isinstance(preds, BoxColumns) and not all(isinstance(p, BevBox) for p in preds):
             raise ValueError("IoU matching requires box predictions")
-        pred_corners, gt_corners = ([b.corners() for b in rows] for rows in (pred_rows, gt_rows))
+        pred_corners, gt_corners = (BoxColumns.of(b).corners() for b in (preds, gts))
         iou = [[corners_iou(p, g) for g in gt_corners] for p in pred_corners]
-        return np.array(iou, dtype=np.float64).reshape(len(pred_rows), len(gt_rows))
+        return np.array(iou, dtype=np.float64).reshape(len(pred_corners), len(gt_corners))
     preds, gts = prediction_columns(preds), BoxColumns.of(gts)
     if isinstance(preds, CandidateColumns):
         px, py = preds.world_x, preds.world_y
@@ -204,18 +203,14 @@ def classify_stage(
     _, (pairs,) = match_thresholds(candidates, sub_gts, (cfg.eta,), cfg.metric)
     matched = tuple((claimable[j], i, s) for j, i, s in pairs)
     tp = frozenset(p[0] for p in matched)
-    fn = frozenset(claimable) - tp
-    return StageAssignment(stage, matched, tp, fn)
+    return StageAssignment(stage, matched, tp, frozenset(claimable) - tp)
 
 
 def hard_instance_targets(
     gts: Sequence[BevBox], assignments: Sequence[StageAssignment]
 ) -> frozenset[int]:
     """Ground-truth indices no stage matched: the hard-instance target set."""
-    covered: set[int] = set()
-    for a in assignments:
-        covered |= a.tp_gt
-    return frozenset(range(len(gts))) - covered
+    return frozenset(range(len(gts))).difference(*(a.tp_gt for a in assignments))
 
 
 def hungarian_assign(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -263,9 +258,7 @@ def _gated_costs(preds, gts, cfg: AssignmentConfig, base_cost) -> tuple[np.ndarr
     else:
         base = np.asarray(base_cost, dtype=np.float64).copy()
         if base.shape != dist.shape:
-            raise ValueError(
-                f"base_cost shape {base.shape} does not match {dist.shape}"
-            )
+            raise ValueError(f"base_cost shape {base.shape} does not match {dist.shape}")
         if not np.isfinite(base).all():
             raise ValueError("base_cost must be finite")
     gated = dist > cfg.gate_distance
@@ -287,8 +280,4 @@ def assign_with_gate(
     whose center distance is within the gate.
     """
     costs, gated, dist = _gated_costs(preds, gts, cfg, base_cost)
-    out = []
-    for r, c in hungarian_assign(costs):
-        if not gated[r, c]:
-            out.append((r, c, float(dist[r, c])))
-    return out
+    return [(r, c, float(dist[r, c])) for r, c in hungarian_assign(costs) if not gated[r, c]]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, decode_json, from_json
-from .geometry import BevBox
+from .geometry import BevBox, BoxColumns
 
 _FORMAT_TAG = "bevprobe-grid-v1"
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
@@ -164,11 +164,11 @@ def gaussian_radius(extent_a: float, extent_b: float, min_overlap: float) -> flo
     return min(r1, r2, r3)
 
 
-def radius_for_box(box: BevBox, spec: BevGridSpec, cfg: GaussianRenderConfig) -> int:
+def radius_for_box(
+    length: float, width: float, spec: BevGridSpec, cfg: GaussianRenderConfig
+) -> int:
     """Integer splat radius in cells for a box footprint on a grid."""
-    r = gaussian_radius(
-        box.length / spec.cell_size, box.width / spec.cell_size, cfg.min_overlap
-    )
+    r = gaussian_radius(length / spec.cell_size, width / spec.cell_size, cfg.min_overlap)
     return max(cfg.min_radius_cells, int(r))
 
 
@@ -229,25 +229,30 @@ def render_gaussian_heatmap(
     returned alongside the heatmap.
     """
     canvas = np.zeros(spec.shape, dtype=np.float64)
-    skipped = splat_centers(canvas, gts, [1.0] * len(gts), spec, cfg)
+    skipped = splat_centers(canvas, BoxColumns.of(gts), [1.0] * len(gts), spec, cfg)
     return Heatmap(spec, canvas), skipped
 
 
 def splat_centers(
-    canvas: np.ndarray, gts: Sequence[BevBox], peaks: Sequence[float], spec: BevGridSpec,
+    canvas: np.ndarray, gts: BoxColumns, peaks: Sequence[float], spec: BevGridSpec,
     cfg: GaussianRenderConfig,
 ) -> int:
     """Max-combine a Gaussian of peak ``peaks[i]`` at the rounded center cell
-    of each ``gts[i]`` into its class plane; return how many fell off the grid."""
-    skipped = 0
-    for i, (gt, peak) in enumerate(zip(gts, peaks)):
-        if not 0 <= gt.class_id < spec.num_classes:
+    of each ``gts[i]`` into its class plane; return how many fell off the grid.
+    Any class outside the grid raises ValueError before the first splat."""
+    classes = gts.class_id.tolist()
+    for i, class_id in enumerate(classes):
+        if not 0 <= class_id < spec.num_classes:
             raise ValueError(
-                f"ground truth {i} has class_id {gt.class_id} outside [0, {spec.num_classes})"
+                f"ground truth {i} has class_id {class_id} outside [0, {spec.num_classes})"
             )
-        gx, gy = spec.world_to_grid((gt.cx, gt.cy))
+    skipped = 0
+    footprints = zip(gts.cx.tolist(), gts.cy.tolist(), gts.length.tolist(), gts.width.tolist())
+    for class_id, (cx, cy, length, width), peak in zip(classes, footprints, peaks):
+        gx, gy = spec.world_to_grid((cx, cy))
         x, y = int(round(gx)), int(round(gy))
-        if not draw_gaussian_peak(canvas[gt.class_id], x, y, radius_for_box(gt, spec, cfg), peak):
+        radius = radius_for_box(length, width, spec, cfg)
+        if not draw_gaussian_peak(canvas[class_id], x, y, radius, peak):
             skipped += 1
     return skipped
 

@@ -14,6 +14,7 @@ class RowColumns(Sequence):
     A subclass lists its fields in ``_fields`` (and ``__slots__``) and sets
     ``_dtypes``, the dtypes :meth:`of` reads rows into, ``_row``, which
     builds one row from Python scalars, and ``_noun``, what its repr counts.
+    A subclass read from JSON sets ``_record``, the dataclass of one record.
 
     Indexing and iteration build rows whose fields are Python scalars; a
     slice or an integer index array stays columnar. Two instances of one
@@ -51,6 +52,11 @@ class RowColumns(Sequence):
 
     def rows(self) -> tuple:
         return tuple(map(self._row, *(getattr(self, f).tolist() for f in self._fields)))
+
+    def records(self, keys: Sequence[str] = ()) -> list[dict]:
+        """One dict of Python scalars per row, of the fields in ``keys`` (all by default)."""
+        keys = keys or self._fields
+        return [dict(zip(keys, row)) for row in zip(*(getattr(self, k).tolist() for k in keys))]
 
     def __len__(self) -> int:
         return len(getattr(self, self._fields[0]))

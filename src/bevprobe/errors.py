@@ -13,6 +13,8 @@ import sys
 import types
 import typing
 
+from .columns import RowColumns
+
 
 class BevProbeError(Exception):
     """Base class for errors raised by this package."""
@@ -47,9 +49,9 @@ def decode_json(doc, where: str, err: type[BevProbeError]):
 
 
 def typed(tp, value, path: str, err: type[BevProbeError]):
-    """Check one JSON value against a field annotation. Lists become tuples
-    or frozensets, objects typed ``dict[str, T]`` have each value checked
-    as ``T``, and strings become enum members; all else passes as is."""
+    """Check one JSON value against a field annotation: lists become tuples,
+    frozensets or ``RowColumns._record`` rows, ``dict[str, T]`` values are
+    checked as ``T``, strings become enum members, and all else passes as is."""
     origin = typing.get_origin(tp)
     if origin is types.UnionType:  # ``T | None``, the only union in use
         return None if value is None else typed(typing.get_args(tp)[0], value, path, err)
@@ -70,6 +72,8 @@ def typed(tp, value, path: str, err: type[BevProbeError]):
         )
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value, path, err)
+    if issubclass(tp, RowColumns):  # its dataclass reads the rows into columns
+        return typed(tuple[tp._record, ...], value, path, err)
     if issubclass(tp, enum.Enum):
         try:
             return tp(value)

@@ -106,6 +106,7 @@ class BoxColumns(RowColumns):
     __slots__ = _fields = _BOX_FIELDS
     _dtypes = _BOX_DTYPES
     _row = staticmethod(_box_row)
+    _record = BevBox
     _noun = "boxes"
 
     def __init__(self, cx, cy, length, width, yaw, class_id, score=None) -> None:
@@ -122,6 +123,10 @@ class BoxColumns(RowColumns):
         y = np.where(y <= -math.pi, y + _TWO_PI, np.where(y > math.pi, y - _TWO_PI, y))
         y.setflags(write=False)
         self.yaw = y
+
+    def corners(self) -> np.ndarray:
+        """Each box's ``BevBox.corners()``, bit for bit, shape (n, 4, 2)."""
+        return box_corners(*(getattr(self, f) for f in _FINITE_FIELDS))[2].transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -330,9 +330,7 @@ def build_positive_mask(
     bits = np.zeros(spec.shape, dtype=np.uint8)
     bits.reshape(-1)[cells] = 1
     if cfg.mask_type is MaskType.POOLING:
-        wide = np.ones(n, dtype=bool)
-        for c in cfg.small_classes:
-            wide &= cls != c
+        wide = ~np.isin(cls, list(cfg.small_classes))
         # A box filter over each class plane that holds a wide candidate,
         # whose only set bits are those centers.
         planes = np.flatnonzero(np.bincount(cls[wide]))

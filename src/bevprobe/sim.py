@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assignment import MatchConfig, MatchMetric, classify_stage
 from .bev_grid import BevGridSpec, GaussianRenderConfig, Heatmap, gaussian_radius, splat_centers
+from .columns import RowColumns
 from .errors import ConfigError, DataError, from_json
-from .geometry import BevBox, BoxColumns
+from .geometry import BoxColumns
 from .hip import CandidateColumns, HipConfig, MaskType, run_hip
 from .metrics import RecallConfig, RecallReport, average_recall, merge_reports
 
@@ -162,32 +162,38 @@ class ClutterPeak:
     amplitude: float
 
 
+class ClutterColumns(RowColumns):
+    """A run of clutter peaks held as one read-only numpy array per
+    ``ClutterPeak`` field: intp ``x``, ``y`` and ``class_id`` and a float64
+    ``amplitude``, so an empty run still indexes; see :class:`RowColumns`."""
+
+    __slots__ = _fields = ("x", "y", "class_id", "amplitude")
+    _dtypes = (np.intp, np.intp, np.intp, np.float64)
+    _row = _record = ClutterPeak
+    _noun = "clutter peaks"
+
+    def __init__(self, x, y, class_id, amplitude) -> None:
+        super().__init__(x, y, class_id, amplitude, dtypes=self._dtypes)
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
-    gts: tuple[BevBox, ...]
+    """Ground truth and clutter as columns, read from rows if given rows;
+    every amplitude, of an object or of a clutter peak, lies in [0, 1]."""
+
+    gts: BoxColumns
     amplitudes: tuple[float, ...]
-    clutter: tuple[ClutterPeak, ...]
+    clutter: ClutterColumns
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gts", BoxColumns.of(self.gts))
+        object.__setattr__(self, "clutter", ClutterColumns.of(self.clutter))
         if len(self.amplitudes) != len(self.gts):
             raise ValueError("one amplitude per ground-truth box is required")
-
-    @cached_property
-    def clutter_columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """The clutter peaks as a (class, y, x) index and their amplitudes.
-
-        Built once per scene for the oracle's scatter-max; not a field, so
-        equality and the JSON record ignore it.
-        """
-        cells = np.array([(p.class_id, p.y, p.x) for p in self.clutter], dtype=np.intp)
-        amplitudes = np.array([p.amplitude for p in self.clutter], dtype=np.float64)
-        return tuple(cells.reshape(-1, 3).T), amplitudes
-
-    @cached_property
-    def gt_columns(self) -> BoxColumns:
-        """The ground truth as columns, read once per scene for every
-        stage classification and recall report; not a field either."""
-        return BoxColumns.of(self.gts)
+        for name, values in (("amplitudes", self.amplitudes), ("clutter", self.clutter.amplitude)):
+            for i, a in enumerate(np.asarray(values, dtype=np.float64).tolist()):
+                if not 0.0 <= a <= 1.0:  # NaN fails too
+                    raise ValueError(f"{name} entry {i} has amplitude {a!r}, outside [0, 1]")
 
 
 class _RawStream:
@@ -302,7 +308,7 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
     mix = mix / mix.sum()
     min_sep = params.min_same_class_separation
 
-    gts: list[BevBox] = []
+    gts: tuple[list, ...] = ([], [], [], [], [], [])  # BoxColumns' fields up to class_id
     centers_by_class: dict[int, list[tuple[float, float]]] = {}
     for i in range(count):
         class_id = rng.choice(mix)
@@ -322,16 +328,15 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
                 f"{_PLACEMENT_ATTEMPTS} attempts; lower the density or separation"
             )
         taken.append((cx, cy))
-        gts.append(BevBox(cx, cy, length, width, yaw, class_id))
+        for column, value in zip(gts, (cx, cy, length, width, yaw, class_id)):
+            column.append(value)
 
-    amplitudes = []
-    for _ in range(count):
-        if rng.random() < model.easy_fraction:
-            amplitudes.append(model.easy_amplitude)
-        else:
-            amplitudes.append(rng.uniform(*model.hard_amplitude_range))
+    amplitudes = tuple(  # one random() per object, then a uniform() for a hard one
+        model.easy_amplitude if rng.random() < model.easy_fraction
+        else rng.uniform(*model.hard_amplitude_range) for _ in range(count)
+    )
 
-    clutter: list[ClutterPeak] = []
+    clutter: tuple[list, ...] = ([], [], [], [])  # x, y, class_id, amplitude
     if model.clutter_peaks:
         free = _clutter_free_cells(spec, centers_by_class, model.clutter_clearance ** 2).tolist()
     for i in range(model.clutter_peaks):
@@ -347,9 +352,10 @@ def generate_scene(params: SceneParams, model: DetectabilityModel) -> SyntheticS
                 "attempts; lower clutter_clearance or the object density"
             )
         amplitude = rng.uniform(*model.clutter_amplitude_range)
-        clutter.append(ClutterPeak(x, y, class_id, amplitude))
+        for column, value in zip(clutter, (x, y, class_id, amplitude)):
+            column.append(value)
 
-    return SyntheticScene(tuple(gts), tuple(amplitudes), tuple(clutter))
+    return SyntheticScene(BoxColumns(*gts), amplitudes, ClutterColumns(*clutter))
 
 
 def oracle_stage_heatmap(
@@ -370,11 +376,11 @@ def oracle_stage_heatmap(
     """
     if stage < 0:
         raise ValueError(f"stage must be non-negative, got {stage}")
-    index, amplitudes = scene.clutter_columns
-    try:
-        cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
+    clutter = scene.clutter
+    try:  # raises on any index off the grid
+        cells = np.ravel_multi_index((clutter.class_id, clutter.y, clutter.x), spec.shape)
     except ValueError:
-        i, peak = next((i, p) for i, p in enumerate(scene.clutter) if not (
+        i, peak = next((i, p) for i, p in enumerate(clutter) if not (
             0 <= p.class_id < spec.num_classes and spec.contains_cell(p.x, p.y)))
         raise ValueError(f"clutter peak {i} {peak} lies outside grid {spec.shape}") from None
     try:
@@ -387,15 +393,16 @@ def oracle_stage_heatmap(
     ]
     canvas = np.zeros(spec.shape, dtype=np.float64)
     splat_centers(canvas, scene.gts, peaks, spec, render_cfg)
-    np.maximum.at(canvas.reshape(-1), cells, amplitudes)
+    np.maximum.at(canvas.reshape(-1), cells, clutter.amplitude)
     return Heatmap(spec, canvas)
 
 
 def scene_to_dict(scene: SyntheticScene) -> dict:
-    d = {name: list(items) for name, items in asdict(scene).items()}
-    for g in d["gts"]:
-        del g["score"]  # ground truth carries no detector score
-    return d
+    return {
+        "gts": scene.gts.records(BoxColumns._fields[:-1]),  # ground truth has no score
+        "amplitudes": list(scene.amplitudes),
+        "clutter": scene.clutter.records(),
+    }
 
 
 def scene_from_dict(d: dict) -> SyntheticScene:
@@ -477,10 +484,7 @@ def _run_arm(
     detect_cfg = MatchConfig(MatchMetric.CENTER_DISTANCE, model.detect_eta)
 
     def source(stage: int, collected: CandidateColumns) -> Heatmap:
-        if stage == 0:
-            detected: frozenset[int] = frozenset()
-        else:
-            detected = frozenset(classify_stage(collected, scene.gt_columns, detect_cfg).tp_gt)
+        detected = classify_stage(collected, scene.gts, detect_cfg).tp_gt if stage else frozenset()
         return oracle_stage_heatmap(scene, stage, detected, model, spec, setup.render_cfg)
 
     result = run_hip(source, cfg, spec)
@@ -494,23 +498,12 @@ def scene_for_seed(setup: ExperimentSetup, seed: int) -> SyntheticScene:
 
 def _run_scene(setup: ExperimentSetup, index: int, seed: int) -> SceneOutcome:
     scene = scene_for_seed(setup, seed)
-    reports: dict[str, RecallReport] = {}
-    candidates: dict[str, CandidateColumns] = {}
-    degenerate: dict[str, bool] = {}
+    reports, candidates, degenerate = {}, {}, {}  # SceneOutcome's three per-arm tables
     for arm, cfg in ((ARM_PROBE, setup.hip_cfg), (ARM_BASELINE, setup.baseline_cfg)):
-        cands, degen = _run_arm(scene, cfg, setup)
-        candidates[arm] = cands
-        degenerate[arm] = degen
-        reports[arm] = average_recall(cands, scene.gt_columns, setup.recall_cfg)
+        candidates[arm], degenerate[arm] = _run_arm(scene, cfg, setup)
+        reports[arm] = average_recall(candidates[arm], scene.gts, setup.recall_cfg)
     delta = reports[ARM_PROBE].mean_average_recall - reports[ARM_BASELINE].mean_average_recall
-    return SceneOutcome(
-        scene_id=f"scene_{index:04d}",
-        seed=seed,
-        reports=reports,
-        candidates=candidates,
-        degenerate=degenerate,
-        delta=delta,
-    )
+    return SceneOutcome(f"scene_{index:04d}", seed, reports, candidates, degenerate, delta)
 
 
 def scene_seeds(rng_seed: int, num_scenes: int) -> list[int]:

@@ -168,10 +168,8 @@ class TestGaussianRadius:
     def test_min_radius_clamp(self):
         spec = BevGridSpec(100, 100, 1, 0.5, 0.0, 0.0)
         cfg = GaussianRenderConfig(min_overlap=0.1, min_radius_cells=2)
-        tiny = BevBox(10, 10, 0.5, 0.5)
-        assert radius_for_box(tiny, spec, cfg) == 2
-        big = BevBox(10, 10, 20.0, 12.0)
-        assert radius_for_box(big, spec, cfg) >= 2
+        assert radius_for_box(0.5, 0.5, spec, cfg) == 2
+        assert radius_for_box(20.0, 12.0, spec, cfg) >= 2
 
     def test_render_config_validation(self):
         with pytest.raises(ValueError):
@@ -259,7 +257,7 @@ class TestDrawGaussianPeak:
         # 2,051 cells: a full kernel would take 4103^2 float64s, 135 MB.
         spec = BevGridSpec(16, 16, 1, 0.5, -4.0, -4.0)
         box = BevBox(0.0, 0.0, 3000.0, 3000.0)
-        assert radius_for_box(box, spec, GaussianRenderConfig()) == 2051
+        assert radius_for_box(box.length, box.width, spec, GaussianRenderConfig()) == 2051
         tracemalloc.start()
         try:
             hm, skipped = render_gaussian_heatmap([box], spec)

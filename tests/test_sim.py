@@ -21,13 +21,14 @@ from bevprobe.bev_grid import (
     render_gaussian_heatmap,
 )
 from bevprobe.errors import ConfigError, DataError
-from bevprobe.geometry import BevBox, center_distance
+from bevprobe.geometry import BevBox, BoxColumns, center_distance
 from bevprobe.hip import CandidateColumns, HipConfig, MaskType
 from bevprobe.metrics import RecallConfig
 from bevprobe.sim import (
     ARM_BASELINE,
     ARM_PROBE,
     MAX_SCENE_CELLS,
+    ClutterColumns,
     ClutterPeak,
     DetectabilityModel,
     ExperimentSetup,
@@ -370,7 +371,7 @@ class TestClutterTable:
             return _clutter_free_cells(*args)
 
         monkeypatch.setattr(sim, "_clutter_free_cells", counted)
-        assert generate_scene(make_params(), make_model(clutter_peaks=0)).clutter == ()
+        assert len(generate_scene(make_params(), make_model(clutter_peaks=0)).clutter) == 0
         assert calls == []
         assert len(generate_scene(make_params(), make_model()).clutter) == 40
         assert len(calls) == 1
@@ -618,7 +619,7 @@ def oracle_heatmap_loop(scene, stage, detected, model, spec):
         if i not in detected:
             amp = min(1.0, amp * model.stage_gain ** stage)
         gx, gy = spec.world_to_grid((gt.cx, gt.cy))
-        radius = radius_for_box(gt, spec, GaussianRenderConfig())
+        radius = radius_for_box(gt.length, gt.width, spec, GaussianRenderConfig())
         draw_gaussian_peak(canvas[gt.class_id], int(round(gx)), int(round(gy)), radius, amp)
     for peak in scene.clutter:
         if peak.amplitude > canvas[peak.class_id, peak.y, peak.x]:
@@ -657,11 +658,77 @@ class TestClutterScatterMax:
             expected = oracle_heatmap_loop(scene, stage, {0}, model, spec).values
             assert got.tobytes() == expected.tobytes()
 
-    def test_columns_are_not_a_field(self):
-        scene = generate_scene(make_params(seed=9), make_model())
-        index, amplitudes = scene.clutter_columns
-        assert len(amplitudes) == len(index[0]) == len(scene.clutter)
-        assert scene == replace(scene) and "clutter_columns" not in scene_to_dict(scene)
+    def test_scene_fields_are_columns_of_fixed_dtypes(self):
+        # An empty clutter run keeps its intp index columns, so the oracle's
+        # scatter-max indexes the canvas with it as with any other run.
+        spec, model = make_spec(), make_model(clutter_peaks=0)
+        scene = generate_scene(make_params(seed=9, spec=spec), model)
+        assert isinstance(scene.gts, BoxColumns) and isinstance(scene.clutter, ClutterColumns)
+        clutter = scene.clutter
+        dtypes = [getattr(clutter, f).dtype for f in ("x", "y", "class_id", "amplitude")]
+        assert len(clutter) == 0 and dtypes == [np.intp] * 3 + [np.float64]
+        got = oracle_stage_heatmap(scene, 1, {0}, model, spec).values
+        assert got.tobytes() == oracle_heatmap_loop(scene, 1, {0}, model, spec).values.tobytes()
+        assert scene == replace(scene) and replace(scene).clutter is clutter
+
+
+_BOX_ROW = st.tuples(
+    st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(0.1, 6.0), st.floats(0.1, 6.0),
+    st.floats(-10.0, 10.0), st.integers(0, 1),
+)
+_CLUTTER_ROW = st.tuples(
+    st.integers(0, 27), st.integers(0, 27), st.integers(0, 1), st.floats(0.0, 1.0)
+)
+
+
+class TestSceneColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_BOX_ROW, st.floats(0.0, 1.0)), max_size=6),
+        st.lists(_CLUTTER_ROW, max_size=8),
+    )
+    def test_rows_and_columns_build_one_scene(self, objects, peaks):
+        boxes = [box for box, _ in objects]
+        amplitudes = tuple(a for _, a in objects)
+        from_rows = SyntheticScene(
+            tuple(BevBox(*box) for box in boxes), amplitudes, [ClutterPeak(*p) for p in peaks]
+        )
+        from_columns = SyntheticScene(
+            BoxColumns(*(list(col) for col in zip(*boxes)) if boxes else ([],) * 6),
+            amplitudes,
+            ClutterColumns(*(list(col) for col in zip(*peaks)) if peaks else ([],) * 4),
+        )
+        assert from_rows == from_columns
+        assert json.dumps(scene_to_dict(from_rows)) == json.dumps(scene_to_dict(from_columns))
+        spec, model = make_spec(), make_model(stage_gain=1.5)
+        for stage in (0, 2):
+            a, b = (oracle_stage_heatmap(s, stage, {0}, model, spec).values
+                    for s in (from_rows, from_columns))
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "path, value, name",
+        [
+            (("amplitudes", 0), 1.5, "scene.amplitudes entry 0 has amplitude 1.5"),
+            (("amplitudes", 1), -0.25, "scene.amplitudes entry 1 has amplitude -0.25"),
+            (("clutter", 0, "amplitude"), 1.7, "scene.clutter entry 0 has amplitude 1.7"),
+            (("clutter", 2, "amplitude"), -0.1, "scene.clutter entry 2 has amplitude -0.1"),
+        ],
+    )
+    def test_amplitude_outside_unit_range_rejected(self, path, value, name):
+        record = scene_to_dict(generate_scene(make_params(seed=5), make_model(clutter_peaks=3)))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(DataError, match=re.escape(f"invalid scene record: {name}, outside")):
+            scene_from_dict(record)
+
+    def test_nan_amplitude_rejected_when_built(self):
+        with pytest.raises(ValueError, match="amplitudes entry 1 has amplitude nan"):
+            replace(two_object_scene(), amplitudes=(1.0, math.nan))
+        with pytest.raises(ValueError, match="clutter entry 0 has amplitude nan"):
+            replace(two_object_scene(), clutter=(ClutterPeak(2, 3, 0, math.nan),))
 
 
 class TestSceneSerialization:
