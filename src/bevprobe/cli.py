@@ -311,10 +311,6 @@ def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
     return scenes
 
 
-# The keys of each fn_inventory.json record; each after "index" names a BoxColumns column.
-_FN_FIELDS = ("index", "cx", "cy", "length", "width", "yaw", "class_id")
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     try:
         recall_cfg = RecallConfig(
@@ -332,9 +328,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for scene_id, preds, gts in scenes:
         reports.append(average_recall(preds, gts, recall_cfg))
         fn_by_thr = false_negative_indices(preds, gts, recall_cfg)
-        columns = (getattr(gts, name).tolist() for name in _FN_FIELDS[1:])
-        rows = list(zip(range(len(gts)), *columns))
-        records = {j: dict(zip(_FN_FIELDS, rows[j])) for j in set().union(*fn_by_thr.values())}
+        rows = gts.records(BoxColumns._fields[:-1])  # ground truth has no score
+        records = {j: {"index": j, **rows[j]} for j in set().union(*fn_by_thr.values())}
         inventory += [
             {"scene_id": scene_id, "threshold": t,
              "false_negatives": [records[j] for j in fn_by_thr[t]]}

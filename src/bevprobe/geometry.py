@@ -18,7 +18,7 @@ import numpy as np
 from .columns import RowColumns
 
 if TYPE_CHECKING:
-    from .bev_grid import BevGridSpec, Heatmap
+    from .bev_grid import Heatmap
 
 _TWO_PI = 2.0 * math.pi
 
@@ -297,20 +297,13 @@ def bilinear_sample(channel: np.ndarray, gx: float, gy: float) -> float:
     return float(_bilinear_gather(np.asarray(channel)[None], [gx], [gy])[0, 0])
 
 
-def box_pool(
-    heatmap: "Heatmap",
-    box: BevBox,
-    cfg: BoxPoolConfig = BoxPoolConfig(),
-    spec: "BevGridSpec | None" = None,
-) -> np.ndarray:
+def box_pool(heatmap: "Heatmap", box: BevBox, cfg: BoxPoolConfig = BoxPoolConfig()) -> np.ndarray:
     """Pool every heatmap channel over the box sampling lattice.
 
     Returns a flat float64 vector of length grid_h * grid_w * C laid out
     point-major (all channels of point 0, then point 1, ...). Points that
     fall outside the map are zero-padded by the bilinear kernel.
     """
-    if spec is not None and spec != heatmap.spec:
-        raise ValueError("spec does not match the heatmap's own grid spec")
     gx, gy = heatmap.spec.world_to_grid(box_pool_points(box, cfg).T)
     return _bilinear_gather(heatmap.values, gx, gy).ravel()
 

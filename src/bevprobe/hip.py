@@ -168,24 +168,23 @@ def topk_select(
     if accumulated is not None and accumulated.spec != spec:
         raise ValueError("accumulated mask grid spec does not match the heatmap")
     flat = heatmap.values.ravel()
-    n = flat.size
     taken = None if accumulated is None else accumulated.bits.ravel().view(np.bool_)
-    n_open = n if taken is None else n - int(np.count_nonzero(taken))
-    if n_open == 0:
-        return TopKResult(CandidateColumns.of(()), True)
-    pool = _floor_pool(flat, taken, k) if k < n_open else None
-    if pool is not None:
+
+    def unclaimed(cells: np.ndarray) -> np.ndarray:
+        return cells if taken is None else cells[~taken[cells]]
+
+    # Once k open cells reach a positive floor, they hold the whole top k and
+    # every tie at the k-th score; else every open positive cell is ranked.
+    floor = _sampled_floor(flat, taken, k)
+    pool = unclaimed(np.flatnonzero(flat >= floor)) if floor > 0 else None
+    if pool is None or pool.size < k:
+        pool = unclaimed(np.flatnonzero(flat))
+    if pool.size >= k:
         chosen = pool[_k_lowest(-flat[pool], k)]
-    elif k >= n_open:
-        chosen = np.arange(n) if taken is None else np.flatnonzero(~taken)
     else:
-        # Rank by negated score, which lies in [-1, 0], with +1 for every claimed
-        # cell: np.partition selects from the low end much faster than from the
-        # high end when most scores tie at zero.
-        work = -flat
-        if n_open < n:
-            np.copyto(work, np.float32(1), where=taken)
-        chosen = _k_lowest(work, k)
+        # Pad with the first open zero-score cells, or all of them if fewer.
+        zero = flat == 0 if taken is None else (flat == 0) & ~taken
+        chosen = np.concatenate([pool, np.flatnonzero(zero)[: k - pool.size]])
     # Flat C-order index equals (class * Y + y) * X + x, so ascending index
     # is exactly the (class, y, x) tie order.
     scores = flat[chosen]
@@ -194,7 +193,7 @@ def topk_select(
     cls, ys, xs = np.unravel_index(chosen, spec.shape)
     # Every index lies below the cell count; int32 index columns take half
     # the bytes of intp ones when outcomes are pickled between processes.
-    index = np.int32 if max(n, abs(stage)) < 2**31 else np.int64
+    index = np.int32 if max(flat.size, abs(stage)) < 2**31 else np.int64
     cols = CandidateColumns(
         xs.astype(index), ys.astype(index), cls.astype(index), scores,
         np.full(chosen.size, stage, dtype=index), *spec.grid_to_world((xs, ys)),
@@ -209,18 +208,11 @@ def _k_lowest(work: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([above, np.flatnonzero(work == kth)[: k - above.size]])
 
 
-def _floor_pool(flat: np.ndarray, taken: np.ndarray | None, k: int) -> np.ndarray | None:
-    """Ascending indices of the open cells that score at least a floor
-    sampled from every 64th cell to admit about 2k cells, or None unless
-    the floor is positive and at least k open cells reach it. Such a pool
-    holds the whole top k and every tie at the k-th score."""
-    sample = flat[::64]
+def _sampled_floor(flat: np.ndarray, taken: np.ndarray | None, k: int) -> float:
+    """A score about 2k open cells reach, from every 64th open cell; 0 if too few."""
+    sample = flat[::64] if taken is None else flat[::64][~taken[::64]]
     rank = sample.size - 2 * (k // 64) - 8
-    if rank < 0 or not (floor := np.partition(sample, rank)[rank]) > 0:
-        return None
-    pool = np.flatnonzero(flat >= floor)
-    pool = pool if taken is None else pool[~taken[pool]]
-    return pool if pool.size >= k else None
+    return np.partition(sample, rank)[rank] if rank >= 0 else 0
 
 
 # Upper bound on padded window cells rasterized at once; a single box whose

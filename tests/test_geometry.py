@@ -669,12 +669,6 @@ class TestBoxPool:
         out = box_pool(hm, BevBox(100.0, 100.0, 2.0, 2.0, 0.0), BoxPoolConfig(3, 3, 1.0))
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_spec_mismatch_rejected(self):
-        hm = self._heatmap()
-        other = BevGridSpec(8, 8, 3, 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            box_pool(hm, BevBox(0, 0, 1, 1), BoxPoolConfig(2, 2, 1.0), spec=other)
-
 
 class TestDeformSample:
     def test_config_validation(self):

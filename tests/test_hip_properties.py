@@ -188,13 +188,14 @@ def lexsort_topk(values, bits, k):
     return cells[np.lexsort((cells, -flat[cells]))][:k]
 
 
-FLOOR_MAPS = ("spread", "levels", "avoids_samples", "zeros", "sparse", "tie_at_floor")
+FLOOR_MAPS = ("spread", "levels", "avoids_samples", "on_samples", "zeros", "sparse", "tie_at_floor")
 
 
 def floor_map(kind, shape, rng):
     """A heatmap shaped to steer ``topk_select``'s sampled floor: onto many
     distinct scores, onto a few tied levels, off every 64th cell (whose
-    samples then read 0), to 0, or onto one score shared by the sampled
+    samples then read 0), onto every 64th cell (so that fewer than k cells
+    reach a positive floor), to 0, or onto one score shared by the sampled
     floor, the k-th cell and most of the grid."""
     n = int(np.prod(shape))
     if kind == "spread":
@@ -204,6 +205,9 @@ def floor_map(kind, shape, rng):
     elif kind == "avoids_samples":
         flat = rng.random(n, dtype=np.float32)
         flat[::64] = 0
+    elif kind == "on_samples":
+        flat = rng.random(n, dtype=np.float32) / 2
+        flat[::64] += np.float32(0.5)
     elif kind == "zeros":
         flat = np.zeros(n, dtype=np.float32)
     elif kind == "sparse":
@@ -226,11 +230,18 @@ class TestTopkFloorPath:
         rng = RNG(data.draw(st.integers(0, 2**32 - 1)))
         values = floor_map(data.draw(st.sampled_from(FLOOR_MAPS)), spec.shape, rng)
         n = values.size
-        # None, sparse, or claiming more than half the grid; the map is
-        # either masked, as run_hip passes it, or left unmasked.
-        density = data.draw(st.sampled_from([None, 0.05, 0.6, 0.95]))
+        # None, sparse, claiming more than half the grid, or claiming the
+        # highest-scoring cells of an unmasked map, so that the sampled cells
+        # left open sit below them; the map is either masked, as run_hip
+        # passes it, or left unmasked.
+        density = data.draw(st.sampled_from([None, 0.05, 0.6, 0.95, "top"]))
         if density is None:
             bits, accumulated = np.zeros(spec.shape, dtype=np.uint8), None
+        elif density == "top":
+            top = np.argsort(-values, axis=None, kind="stable")[: data.draw(st.integers(1, n))]
+            bits = np.zeros(spec.shape, dtype=np.uint8)
+            bits.flat[top] = 1
+            accumulated = PositiveMask(spec, bits)
         else:
             bits = (rng.random(spec.shape) < density).astype(np.uint8)
             accumulated = PositiveMask(spec, bits)
@@ -253,15 +264,45 @@ class TestTopkFloorPath:
         rng = RNG(5)
         values = floor_map("tie_at_floor", (2, 64, 64), rng)
         for k in (1, 40, 200):
-            pool = hip._floor_pool(values.ravel(), None, k)
-            assert pool is not None and pool.size >= k
+            floor = hip._sampled_floor(values.ravel(), None, k)
+            pool = np.flatnonzero(values.ravel() >= floor)
+            assert floor > 0 and pool.size >= k
             kth = np.sort(values.ravel())[::-1][k - 1]
             assert set(np.flatnonzero(values.ravel() >= kth)) <= set(pool.tolist())
 
     @pytest.mark.parametrize("kind", ["zeros", "avoids_samples"])
     def test_no_positive_floor_takes_the_full_path(self, kind):
+        # A floor of 0 ranks every open positive cell.
         values = floor_map(kind, (2, 64, 64), RNG(6))
-        assert hip._floor_pool(values.ravel(), None, 10) is None
+        assert hip._sampled_floor(values.ravel(), None, 10) == 0
+
+    def test_too_few_cells_at_the_floor_ranks_every_positive_cell(self):
+        # Only the sampled cells score high, so fewer than k cells reach the floor.
+        spec = BevGridSpec(64, 64, 2, 0.5, -3.0, -3.0)
+        values = floor_map("on_samples", spec.shape, RNG(8))
+        floor = hip._sampled_floor(values.ravel(), None, 40)
+        assert floor > 0 and np.count_nonzero(values >= floor) < 40
+        got = topk_select(Heatmap(spec, values), None, 40)
+        cells = np.ravel_multi_index((got.columns.class_id, got.columns.y, got.columns.x), spec.shape)
+        assert np.array_equal(cells, lexsort_topk(values, np.zeros(spec.shape, np.uint8), 40))
+
+    def test_sparse_map_allocates_far_below_its_grid(self):
+        # 3,000 positive cells and 1% claimed on a 16 MB map: ranking reads
+        # only the open positive cells and a 1/64 sample, never a full copy.
+        spec = BevGridSpec(1024, 1024, 4, 0.5, -256.0, -256.0)
+        rng = RNG(7)
+        flat = np.zeros(spec.num_classes * spec.size_y * spec.size_x, dtype=np.float32)
+        flat[rng.choice(flat.size, 3000, replace=False)] = rng.random(3000, dtype=np.float32)
+        hm = Heatmap(spec, flat.reshape(spec.shape))
+        accumulated = PositiveMask(spec, (rng.random(spec.shape) < 0.01).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            got = topk_select(hm, accumulated, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got.columns) == 2000 and not got.degenerate
+        assert peak < flat.nbytes // 8, peak
 
 
 class TestBoxMaskProperties:

@@ -724,6 +724,18 @@ class TestSceneColumns:
         with pytest.raises(DataError, match=re.escape(f"invalid scene record: {name}, outside")):
             scene_from_dict(record)
 
+    @pytest.mark.parametrize("value", [2**70, -(2**70), 2**63])
+    @pytest.mark.parametrize(
+        "path", [("clutter", 1, "x"), ("clutter", 1, "y"), ("clutter", 1, "class_id"),
+                 ("gts", 0, "class_id")],
+    )
+    def test_integer_beyond_64_bits_names_its_field(self, path, value):
+        record = scene_to_dict(generate_scene(make_params(seed=5), make_model(clutter_peaks=3)))
+        record[path[0]][path[1]][path[2]] = value
+        name = f"scene.{path[0]} entry {path[1]} has {path[2]} {value}, outside 64 bits"
+        with pytest.raises(DataError, match=re.escape(f"invalid scene record: {name}")):
+            scene_from_dict(record)
+
     def test_nan_amplitude_rejected_when_built(self):
         with pytest.raises(ValueError, match="amplitudes entry 1 has amplitude nan"):
             replace(two_object_scene(), amplitudes=(1.0, math.nan))
