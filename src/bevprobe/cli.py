@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bev_grid import load_heatmap
-from .errors import BevProbeError, ConfigError, DataError, decode_json, typed
+from .errors import BevProbeError, ConfigError, DataError, decode_json, read_columns, typed
 from .geometry import BoxColumns
 from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
 from .metrics import (
@@ -223,56 +223,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-_FLOAT_MAX = sys.float_info.max
-_FLOAT_FIELDS = ("cx", "cy", "length", "width")
-
-
-def _box_columns(records: list, scored: bool) -> BoxColumns:
-    """Columns of a list of box records.
-
-    A record that breaks a rule raises DataError; the rules run in the
-    order a single record meets them (an object; cx, cy, length, width
-    and score present; finite numbers; a 64-bit class_id; a positive
-    footprint; a score in [0, 1]) and the message is worded for
-    ``records[0]``, so it is exact for a one-record list.
-    """
-    try:
-        floats = {name: [r[name] for r in records] for name in _FLOAT_FIELDS}
-        floats["yaw"] = [r.get("yaw", 0.0) for r in records]
-        class_id = [r.get("class_id", 0) for r in records]
-        if scored:
-            floats["score"] = [r["score"] for r in records]
-    except KeyError as exc:
-        raise DataError(f"missing field {exc.args[0]!r}") from None
-    except TypeError:  # a record that is no object
-        raise DataError(f"expected an object, got {type(records[0]).__name__}") from None
-    arrays = {}
-    for name, values in floats.items():
-        types = set(map(type, values))
-        # Exact types: JSON true/false parse as bool, a subclass of int. An
-        # int is checked before conversion, which may round it down to the
-        # largest float.
-        if types <= {int, float} and (int not in types or max(map(abs, values)) <= _FLOAT_MAX):
-            arrays[name] = np.array(values, dtype=np.float64)
-            if np.isfinite(arrays[name]).all():
-                continue
-        raise DataError(f"field {name!r} must be a finite number, got {values[0]!r}")
-    if not (set(map(type, class_id)) <= {int}
-            and -(2**63) <= min(class_id, default=0) and max(class_id, default=0) < 2**63):
-        raise DataError(f"field 'class_id' must be a 64-bit integer, got {class_id[0]!r}")
-    try:
-        return BoxColumns(**arrays, class_id=np.array(class_id, dtype=np.int64))
-    except ValueError as exc:  # a footprint or score out of range
-        raise DataError(str(exc)) from None
-
-
 def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
     """Parse and validate a detection dump file.
 
     Format: {"scenes": [{"scene_id", "predictions", "ground_truth"}]} with
-    box records carrying cx, cy, length, width, yaw, class_id and (for
-    predictions) score. Each list of records is read into ``BoxColumns``
-    at once; problems raise DataError naming the scene and record.
+    box records carrying cx, cy, length, width, yaw, class_id and score (which
+    a prediction needs). Each list is read into ``BoxColumns`` by
+    ``read_columns``; problems raise DataError naming the key path.
     """
     raw = _read_json(path, "detection dump")
     if not isinstance(raw, dict) or not isinstance(raw.get("scenes"), list):
@@ -293,21 +250,12 @@ def load_detection_dump(path: Path) -> list[tuple[str, BoxColumns, BoxColumns]]:
         gts_raw = scene.get("ground_truth")
         if not isinstance(preds_raw, list) or not isinstance(gts_raw, list):
             raise DataError(f"{where} ({scene_id}): predictions and ground_truth must be lists")
-        columns = []
-        for role, records, scored in (
-            ("predictions", preds_raw, True), ("ground_truth", gts_raw, False)
-        ):
-            try:
-                columns.append(_box_columns(records, scored))
-            except DataError:
-                # Read the list again one record at a time to name the first bad one.
-                for j, r in enumerate(records):
-                    try:
-                        _box_columns([r], scored)
-                    except DataError as exc:
-                        raise DataError(f"{where}.{role}[{j}] ({scene_id}): {exc}") from None
-                raise
-        scenes.append((scene_id, *columns))
+        preds, gts = (read_columns(BoxColumns, scene[role], f"{where}.{role}", DataError)
+                      for role in ("predictions", "ground_truth"))
+        unscored = np.flatnonzero(np.isnan(preds.score))
+        if unscored.size:
+            raise DataError(f"{where}.predictions[{unscored[0]}].score: a prediction needs a score")
+        scenes.append((scene_id, preds, gts))
     return scenes
 
 

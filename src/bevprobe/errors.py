@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON decoder and
-typed reader that raise them for malformed outside input.
+"""Exception types shared across the package, and the JSON decoder, typed
+reader and column reader that raise them for malformed outside input.
 
 The CLI maps these onto process exit codes: ConfigError exits with 2,
 DataError with 3. Everything else is a plain bug and propagates.
@@ -10,8 +10,9 @@ import enum
 import functools
 import json
 import sys
-import types
 import typing
+
+import numpy as np
 
 from .columns import RowColumns
 
@@ -50,11 +51,9 @@ def decode_json(doc, where: str, err: type[BevProbeError]):
 
 def typed(tp, value, path: str, err: type[BevProbeError]):
     """Check one JSON value against a field annotation: lists become tuples,
-    frozensets or ``RowColumns._record`` rows, ``dict[str, T]`` values are
-    checked as ``T``, strings become enum members, and all else passes as is."""
+    frozensets or ``RowColumns`` (by :func:`read_columns`), ``dict[str, T]``
+    values are checked as ``T``, strings become enums, and all else passes."""
     origin = typing.get_origin(tp)
-    if origin is types.UnionType:  # ``T | None``, the only union in use
-        return None if value is None else typed(typing.get_args(tp)[0], value, path, err)
     if origin is dict:
         value = typed(dict, value, path, err)
         vt = typing.get_args(tp)[1]
@@ -72,8 +71,8 @@ def typed(tp, value, path: str, err: type[BevProbeError]):
         )
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value, path, err)
-    if issubclass(tp, RowColumns):  # its dataclass reads the rows into columns
-        return typed(tuple[tp._record, ...], value, path, err)
+    if issubclass(tp, RowColumns):
+        return read_columns(tp, value, path, err)
     if issubclass(tp, enum.Enum):
         try:
             return tp(value)
@@ -100,8 +99,7 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
     its annotation: ``int`` takes a JSON integer, ``float`` a finite
     number, ``bool`` true or false, ``dict`` and a nested dataclass an
     object, ``tuple`` and ``frozenset`` a list (of fixed length for a fixed
-    tuple) whose entries are checked in turn, an enum its exact value, and
-    ``T | None`` null or a ``T``.
+    tuple) whose entries are checked in turn, and an enum its exact value.
     Unknown keys, missing required keys and ``cls``'s own range checks (a
     ValueError or OverflowError) all raise ``err`` naming the key path; a
     range check names its key by opening its message with the field name.
@@ -125,3 +123,61 @@ def from_json(cls, raw, path: str, err: type[BevProbeError] = ConfigError, **giv
         msg = str(exc)
         sep = "." if msg.split(" ", 1)[0] in fields else ": "
         raise err(f"{path}{sep}{msg}" if path else msg) from exc
+
+
+def read_columns(cls, records, path: str, err: type[BevProbeError]):
+    """Read a JSON list of records into ``cls``, a ``RowColumns``, one field
+    of ``cls._record`` at a time. A record is an object of those fields, the
+    ones without a default required. An ``int`` field takes integers within
+    64 bits, a ``float`` field finite numbers, and one whose default is None
+    also null, read as NaN; true and false are no numbers. Then ``cls``'s
+    own rules run. On a fault the list is read again one record at a time,
+    to name the first bad one by its key path, such as ``{path}[1].x``."""
+    if not isinstance(records, list):
+        raise err(f"{path}: expected a list, got {records!r}")
+    try:
+        return _columns(cls, records, path, err)
+    except err:
+        for j, record in enumerate(records):
+            _columns(cls, [record], f"{path}[{j}]", err)
+        raise
+
+
+def _columns(cls, records: list, path: str, err: type[BevProbeError]):
+    """``cls`` of ``records``; a fault's message is worded for ``records[0]``."""
+    hints = _type_hints(cls._record)
+    if not set(map(type, records)) <= {dict}:
+        raise err(f"{path}: expected an object, got {records[0]!r}")
+    unknown = set().union(*records).difference(hints)
+    if unknown:
+        raise err(f"{_at(path, next(k for r in records for k in r if k in unknown))}: unknown key")
+    columns = []
+    for f in dataclasses.fields(cls._record):
+        if f.default is dataclasses.MISSING:
+            try:
+                values = [r[f.name] for r in records]
+            except KeyError:
+                raise err(f"{_at(path, f.name)}: required key is missing") from None
+        else:
+            values = [r.get(f.name, f.default) for r in records]
+        kinds = set(map(type, values))
+        tp = int if hints[f.name] is int else float
+        if tp is int:
+            column = values
+            ok = kinds <= {int} and (not values or -(2**63) <= min(values) and max(values) < 2**63)
+        else:
+            ok = kinds <= ({int, float, type(None)} if f.default is None else {int, float})
+            if ok and int in kinds:  # checked before the float conversion rounds it
+                ok = max(abs(v) for v in values if type(v) is int) <= sys.float_info.max
+            if ok:  # a null reads as NaN, and only a null may
+                column = np.array(values, dtype=np.float64)
+                nulls = values.count(None) if type(None) in kinds else 0
+                ok = np.count_nonzero(np.isfinite(column)) == len(values) - nulls
+        if not ok:
+            want = "a 64-bit integer" if tp is int and type(values[0]) is int else _EXPECTED[tp]
+            raise err(f"{_at(path, f.name)}: expected {want}, got {values[0]!r}")
+        columns.append(column)
+    try:
+        return cls(*columns)
+    except ValueError as exc:
+        raise err(f"{path}: {exc}") from None

@@ -187,14 +187,7 @@ class SyntheticScene:
 
     def __post_init__(self) -> None:
         for name, kind in (("gts", BoxColumns), ("clutter", ClutterColumns)):
-            rows = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind.of(rows))
-            except OverflowError:  # a row's integer does not fit its 64-bit column
-                ints = [f for f, dt in zip(kind._fields, kind._dtypes) if np.dtype(dt).kind == "i"]
-                i, f, v = next((i, f, getattr(row, f)) for i, row in enumerate(rows) for f in ints
-                               if not -(2**63) <= getattr(row, f) < 2**63)
-                raise ValueError(f"{name} entry {i} has {f} {v}, outside 64 bits") from None
+            object.__setattr__(self, name, kind.of(getattr(self, name)))
         if len(self.amplitudes) != len(self.gts):
             raise ValueError("one amplitude per ground-truth box is required")
         for name, values in (("amplitudes", self.amplitudes), ("clutter", self.clutter.amplitude)):

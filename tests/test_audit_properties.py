@@ -1,9 +1,9 @@
 """Property tests for the columnar audit path.
 
 ``load_detection_dump`` reads each list of box records into ``BoxColumns``
-at once. It is compared with the per-record loader it replaced, kept here
-as an oracle: on a valid dump with one record mutated, both must give the
-same boxes or the same ``DataError`` text. The metrics must give equal
+at once. It is compared with a per-record loader, kept here as an oracle:
+on a valid dump with one record mutated, both must give the same boxes or
+the same ``DataError`` text. The metrics must give equal
 results on ``BoxColumns`` and on their ``BevBox`` rows.
 """
 
@@ -31,37 +31,43 @@ from bevprobe.metrics import (
 _FLOAT_MAX = sys.float_info.max
 
 
-def box_from_record_oracle(record, where, scored):
-    """The per-record reader: one ``BevBox`` per record, checked field by field."""
+FIELDS = ("cx", "cy", "length", "width", "yaw", "class_id", "score")
+REQUIRED = FIELDS[:4]
+
+
+def box_from_record_oracle(record, where):
+    """The per-record reader: one ``BevBox`` per record, checked key by key."""
     if not isinstance(record, dict):
-        raise DataError(f"{where}: expected an object, got {type(record).__name__}")
+        raise DataError(f"{where}: expected an object, got {record!r}")
+    for key in record:
+        if key not in FIELDS:
+            raise DataError(f"{where}.{key}: unknown key")
+    kwargs = {}
+    for name in FIELDS:
+        if name not in record:
+            if name in REQUIRED:
+                raise DataError(f"{where}.{name}: required key is missing")
+            continue
+        value = record[name]
+        if name == "class_id":
+            if type(value) is not int:
+                raise DataError(f"{where}.class_id: expected an integer, got {value!r}")
+            if not -(2**63) <= value < 2**63:
+                raise DataError(f"{where}.class_id: expected a 64-bit integer, got {value!r}")
+        elif not (name == "score" and value is None):
+            if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
+                raise DataError(f"{where}.{name}: expected a finite number, got {value!r}")
+            value = float(value)
+        kwargs[name] = value
     try:
-        kwargs = {
-            "cx": record["cx"],
-            "cy": record["cy"],
-            "length": record["length"],
-            "width": record["width"],
-            "yaw": record.get("yaw", 0.0),
-        }
-        if scored:
-            kwargs["score"] = record["score"]
-    except KeyError as exc:
-        raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
-    for name, value in kwargs.items():
-        if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
-            raise DataError(f"{where}: field {name!r} must be a finite number, got {value!r}")
-        kwargs[name] = float(value)
-    class_id = record.get("class_id", 0)
-    if type(class_id) is not int or not -(2**63) <= class_id < 2**63:
-        raise DataError(f"{where}: field 'class_id' must be a 64-bit integer, got {class_id!r}")
-    try:
-        return BevBox(**kwargs, class_id=class_id)
+        return BevBox(**kwargs)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 
 def load_detection_dump_oracle(path):
-    """The per-record loader: lists of ``BevBox`` per scene."""
+    """The per-record loader: lists of ``BevBox`` per scene, and then a
+    score on every prediction."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("scenes"), list):
@@ -83,13 +89,14 @@ def load_detection_dump_oracle(path):
         if not isinstance(preds_raw, list) or not isinstance(gts_raw, list):
             raise DataError(f"{where} ({scene_id}): predictions and ground_truth must be lists")
         preds = [
-            box_from_record_oracle(r, f"{where}.predictions[{j}] ({scene_id})", scored=True)
-            for j, r in enumerate(preds_raw)
+            box_from_record_oracle(r, f"{where}.predictions[{j}]") for j, r in enumerate(preds_raw)
         ]
         gts = [
-            box_from_record_oracle(r, f"{where}.ground_truth[{j}] ({scene_id})", scored=False)
-            for j, r in enumerate(gts_raw)
+            box_from_record_oracle(r, f"{where}.ground_truth[{j}]") for j, r in enumerate(gts_raw)
         ]
+        for j, box in enumerate(preds):
+            if box.score is None:
+                raise DataError(f"{where}.predictions[{j}].score: a prediction needs a score")
         scenes.append((scene_id, preds, gts))
     return scenes
 
@@ -129,7 +136,6 @@ def dumps(draw):
     }
 
 
-FIELDS = ("cx", "cy", "length", "width", "yaw", "class_id", "score")
 # Written into one field of one record, one group drawn first so each is
 # hit often; NaN and the infinities reach the file as JSON NaN / Infinity,
 # 10**309 as an integer past the float range.
@@ -143,6 +149,7 @@ BAD_VALUES = [
     [2.5, 2**63, -(2**63), 2**63 - 1, -(2**63) - 1],
 ]
 NON_RECORDS = [None, 3, 2.5, "box", [], [1, 2], True]
+UNKNOWN_KEYS = ["yaww", "note", "Score", ""]
 
 
 @st.composite
@@ -157,20 +164,24 @@ def mutated_dumps(draw):
     if not slots or not draw(st.integers(0, 9)):
         return dump
     scene, role, j = draw(st.sampled_from(slots))
-    kind = draw(st.sampled_from(["value", "value", "value", "delete", "replace"]))
+    kind = draw(st.sampled_from(["value", "value", "value", "delete", "replace", "unknown"]))
     if kind == "replace":
         scene[role][j] = draw(st.sampled_from(NON_RECORDS))
     elif kind == "delete":
         scene[role][j].pop(draw(st.sampled_from(FIELDS)), None)
+    elif kind == "unknown":
+        scene[role][j][draw(st.sampled_from(UNKNOWN_KEYS))] = 0.0
     else:
         group = draw(st.sampled_from(BAD_VALUES))
         scene[role][j][draw(st.sampled_from(FIELDS))] = draw(st.sampled_from(group))
     return dump
 
 
+RECORD = {"cx": 1.0, "cy": 2.0, "length": 4.0, "width": 2.0, "score": 0.5}
+
+
 def one_record_dump(**fields):
-    record = {"cx": 1.0, "cy": 2.0, "length": 4.0, "width": 2.0, "score": 0.5, **fields}
-    return {"scenes": [{"scene_id": "a", "ground_truth": [], "predictions": [record]}]}
+    return {"scenes": [{"scene_id": "a", "ground_truth": [], "predictions": [{**RECORD, **fields}]}]}
 
 
 def outcome(load, path):
@@ -190,6 +201,11 @@ class TestColumnarLoader:
     @example(dump=one_record_dump(cy=2**1024 - 2**970 - 1))
     @example(dump=one_record_dump(width=True))
     @example(dump=one_record_dump(class_id=2**63))
+    @example(dump=one_record_dump(yaww=0.0))
+    @example(dump={"scenes": [{"scene_id": "a", "predictions": [],
+                               "ground_truth": [{**RECORD, "score": 1.5}]}]})
+    @example(dump={"scenes": [{"scene_id": "a", "ground_truth": [], "predictions": [
+        {k: v for k, v in RECORD.items() if k != "score"}, {**RECORD, "cx": "0.3"}]}]})
     def test_matches_per_record_oracle(self, tmp_path_factory, dump):
         path = Path(tmp_path_factory.mktemp("dump")) / "dump.json"
         path.write_text(json.dumps(dump))
@@ -198,20 +214,21 @@ class TestColumnarLoader:
 
         assert got == outcome(load_detection_dump_oracle, path)
         if got[0] == "ok":
-            for (_, preds, gts), (_, want_p, want_g) in zip(
-                load_detection_dump(path), load_detection_dump_oracle(path)
+            for (_, preds, gts), (_, want_p, want_g), scene in zip(
+                load_detection_dump(path), load_detection_dump_oracle(path), dump["scenes"]
             ):
                 assert isinstance(preds, BoxColumns) and isinstance(gts, BoxColumns)
                 assert preds == BoxColumns.of(want_p) and gts == BoxColumns.of(want_g)
-                assert np.isnan(gts.score).all()
+                unscored = [r.get("score") is None for r in scene["ground_truth"]]
+                assert np.isnan(gts.score).tolist() == unscored
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("yaw", 10**309, "field 'yaw' must be a finite number, got 1000"),
-            ("cx", 2**1024 - 2**970 - 1, "field 'cx' must be a finite number"),
-            ("class_id", 2**63, "field 'class_id' must be a 64-bit integer, got 9223372036854775808"),
-            ("class_id", 2.5, "field 'class_id' must be a 64-bit integer, got 2.5"),
+            ("yaw", 10**309, "expected a finite number, got 1000"),
+            ("cx", 2**1024 - 2**970 - 1, "expected a finite number"),
+            ("class_id", 2**63, "expected a 64-bit integer, got 9223372036854775808"),
+            ("class_id", 2.5, "expected an integer, got 2.5"),
             ("length", 0, "box footprint must be positive, got 0.0 x 2.0"),
             ("score", 1.5, "score must lie in [0, 1], got 1.5"),
         ],
@@ -224,7 +241,9 @@ class TestColumnarLoader:
         path.write_text(json.dumps(dump))
         with pytest.raises(DataError) as exc_info:
             load_detection_dump(path)
-        assert f"scenes[0].predictions[1] (a): {message}" in str(exc_info.value)
+        # A value of the wrong type names its field's key; a box rule, the record.
+        key = f".{field}" if message.startswith("expected") else ""
+        assert f"scenes[0].predictions[1]{key}: {message}" in str(exc_info.value)
 
 
 @st.composite

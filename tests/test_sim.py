@@ -3,6 +3,8 @@ import json
 import math
 import pickle
 import re
+import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from bevprobe.bev_grid import (
     radius_for_box,
     render_gaussian_heatmap,
 )
-from bevprobe.errors import ConfigError, DataError
+from bevprobe.errors import ConfigError, DataError, from_json, typed
 from bevprobe.geometry import BevBox, BoxColumns, center_distance
 from bevprobe.hip import CandidateColumns, HipConfig, MaskType
 from bevprobe.metrics import RecallConfig
@@ -681,7 +683,80 @@ _CLUTTER_ROW = st.tuples(
 )
 
 
+def columns_oracle(cls, records, path):
+    """The per-record reader: one ``from_json`` row per record, whose
+    integers within the float range read as floats in ``float`` fields, a
+    64-bit bound on each ``int`` field, then ``.of``."""
+    if not isinstance(records, list):
+        raise DataError(f"{path}: expected a list, got {records!r}")
+    hints = typing.get_type_hints(cls._record)
+    ints = [name for name, tp in hints.items() if tp is int]
+    rows = []
+    for j, record in enumerate(records):
+        if isinstance(record, dict):
+            record = {k: float(v) if hints.get(k) is float and type(v) is int
+                      and abs(v) <= sys.float_info.max else v for k, v in record.items()}
+        row = from_json(cls._record, record, f"{path}[{j}]", DataError)
+        for name in ints:
+            v = getattr(row, name)
+            if not -(2**63) <= v < 2**63:
+                raise DataError(f"{path}[{j}].{name}: expected a 64-bit integer, got {v}")
+        rows.append(row)
+    return cls.of(rows)
+
+
+# One per mutated record: a value written into a field, a deleted or an
+# unknown key, or the whole record replaced by something that is no object.
+RECORD_BAD_VALUES = [True, False, math.nan, math.inf, -math.inf, "0.3", "x", None,
+                     2**63, -(2**63) - 1, 2**70]
+RECORD_NON_OBJECTS = [None, 3, 2.5, "peak", [], [1, 2], True]
+
+
+@st.composite
+def mutated_record_lists(draw):
+    cls = draw(st.sampled_from([BoxColumns, ClutterColumns]))
+    rows = draw(st.lists(_BOX_ROW if cls is BoxColumns else _CLUTTER_ROW, max_size=5))
+    records = [dict(zip(cls._fields, row)) for row in rows]
+    for record in records:
+        if cls is BoxColumns and draw(st.booleans()):  # yaw and class_id take defaults
+            record.pop(draw(st.sampled_from(["yaw", "class_id"])))
+    hit = draw(st.sets(st.sampled_from(range(len(records))), max_size=2)) if records else ()
+    for j in sorted(hit):
+        kind = draw(st.sampled_from(["value", "value", "value", "delete", "unknown", "replace"]))
+        if kind == "replace":
+            records[j] = draw(st.sampled_from(RECORD_NON_OBJECTS))
+        elif kind == "unknown":
+            records[j][draw(st.sampled_from(["note", "X", "yaww", "amplitudes"]))] = 0
+        else:
+            key = draw(st.sampled_from(sorted(records[j])))
+            if kind == "delete":
+                del records[j][key]
+            else:
+                records[j][key] = draw(st.sampled_from(RECORD_BAD_VALUES))
+    return cls, records
+
+
+def read_outcome(read, cls, records):
+    try:
+        return "ok", read(cls, records, "scene.rows")
+    except DataError as exc:
+        return "error", str(exc)
+
+
 class TestSceneColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_record_lists())
+    @example((ClutterColumns, [{"x": 1, "y": 2, "class_id": 0, "amplitude": 0.5},
+                               {"x": 2**70, "y": 2, "class_id": 0, "amplitude": 0.5}]))
+    @example((BoxColumns, [{"cx": 0.0, "cy": 0.0, "length": 1.0, "width": 1.0, "note": 0}]))
+    @example((BoxColumns, [{"cx": 0.0, "cy": 0.0, "length": -(2**63) - 1, "width": 1.0}]))
+    def test_column_reader_matches_per_record_oracle(self, case):
+        cls, records = case
+        got = read_outcome(lambda *a: typed(*a, DataError), cls, records)
+        assert got == read_outcome(columns_oracle, cls, records)
+        if got[0] == "ok":
+            assert [getattr(got[1], f).dtype for f in cls._fields] == list(cls._dtypes)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.tuples(_BOX_ROW, st.floats(0.0, 1.0)), max_size=6),
@@ -732,7 +807,7 @@ class TestSceneColumns:
     def test_integer_beyond_64_bits_names_its_field(self, path, value):
         record = scene_to_dict(generate_scene(make_params(seed=5), make_model(clutter_peaks=3)))
         record[path[0]][path[1]][path[2]] = value
-        name = f"scene.{path[0]} entry {path[1]} has {path[2]} {value}, outside 64 bits"
+        name = f"scene.{path[0]}[{path[1]}].{path[2]}: expected a 64-bit integer, got {value}"
         with pytest.raises(DataError, match=re.escape(f"invalid scene record: {name}")):
             scene_from_dict(record)
 

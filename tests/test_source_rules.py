@@ -123,3 +123,14 @@ def test_box_rules_live_in_bev_box():
             for _ in range(path.read_text(encoding="utf-8").count(message))
         ]
         assert homes == ["geometry.py"], (message, homes)
+
+
+def test_record_rules_live_in_errors():
+    # One reader reads outside record lists into columns; a second copy of
+    # its 64-bit rule would be a second reader, free to drift from it.
+    homes = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "64-bit integer" in path.read_text(encoding="utf-8")
+    }
+    assert homes == {"errors.py"}, homes
