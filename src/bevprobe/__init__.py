@@ -25,10 +25,11 @@ from .bev_grid import (
     BevGridSpec,
     GaussianRenderConfig,
     Heatmap,
+    PositiveMask,
     gaussian_radius,
     load_heatmap,
     render_gaussian_heatmap,
-    save_heatmap,
+    save_grid,
 )
 from .errors import BevProbeError, ConfigError, DataError
 from .geometry import (
@@ -49,7 +50,6 @@ from .hip import (
     HipConfig,
     HipResult,
     MaskType,
-    PositiveMask,
     TopKResult,
     accumulate_mask,
     apply_mask,
@@ -138,6 +138,6 @@ __all__ = [
     "rotated_iou_bev",
     "run_experiment",
     "run_hip",
-    "save_heatmap",
+    "save_grid",
     "topk_select",
 ]

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,51 +70,74 @@ class BevGridSpec:
             self.origin_y + point[1] * self.cell_size,
         )
 
-    def contains_cell(self, x: int, y: int) -> bool:
-        return 0 <= x < self.size_x and 0 <= y < self.size_y
-
-
-def frozen_grid(spec: BevGridSpec, values, dtype, what: str, copy: bool = True) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``values``, which must have the grid's
-    shape; ``values`` itself if it has the dtype and ``copy`` is False."""
-    arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
-    if arr.shape != spec.shape:
-        raise ValueError(f"{what} shape {arr.shape} does not match grid shape {spec.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def adopt_grid(cls, spec: BevGridSpec, values: np.ndarray):
-    """``cls(spec, values)`` for ``Heatmap`` or ``PositiveMask``, with every check
-    but without the copy: only for an array that its caller just built."""
-    obj = object.__new__(cls)
-    for f, value in zip(fields(cls), (spec, values)):
-        object.__setattr__(obj, f.name, value)
-    obj.__post_init__(copy=False)
-    return obj
+    def flat_cells(self, rows, what: str) -> np.ndarray:
+        """Flat C-order index of each of ``rows``' (class_id, y, x) cells; the
+        first row off the grid raises ValueError naming it as ``what``."""
+        index = (rows.class_id, rows.y, rows.x)
+        try:
+            return np.ravel_multi_index(index, self.shape)
+        except ValueError:
+            on_grid = [(0 <= a) & (a < n) for a, n in zip(index, self.shape)]
+            i = int(np.argmin(np.logical_and.reduce(on_grid)))
+            raise ValueError(f"{what} {i} {rows[i]} lies outside grid {self.shape}") from None
 
 
 @dataclass(frozen=True)
-class Heatmap:
-    """Per-class center heatmap over a grid: float32 [C][Y][X] in [0, 1].
-
-    Values are copied and frozen at construction; treat instances as
-    immutable.
-    """
+class Grid:
+    """A read-only [C][Y][X] array over a grid, copied at construction. A
+    subclass sets the file ``tag`` that names its dtype, the ``article`` and
+    ``noun`` of its messages, and ``_check_values``, its value rule."""
 
     spec: BevGridSpec
     values: np.ndarray
 
-    def __post_init__(self, copy: bool = True) -> None:
-        arr = frozen_grid(self.spec, self.values, np.float32, "heatmap", copy)
-        # NaN fails both comparisons.
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("heatmap values must lie in [0, 1] and contain no NaNs")
-        object.__setattr__(self, "values", arr)
+    def __post_init__(self) -> None:
+        self._freeze(np.array(self.values, dtype=_DTYPES[self.tag]))
 
     @classmethod
-    def zeros(cls, spec: BevGridSpec) -> "Heatmap":
-        return adopt_grid(cls, spec, np.zeros(spec.shape, dtype=np.float32))
+    def adopt(cls, spec: BevGridSpec, values: np.ndarray):
+        """``cls(spec, values)`` with every check but without the copy: only
+        for an array that its caller just built."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "spec", spec)
+        grid._freeze(np.asarray(values, dtype=_DTYPES[cls.tag]))
+        return grid
+
+    @classmethod
+    def zeros(cls, spec: BevGridSpec):
+        return cls.adopt(spec, np.zeros(spec.shape, dtype=_DTYPES[cls.tag]))
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        if arr.shape != self.spec.shape:
+            raise ValueError(
+                f"{self.noun} shape {arr.shape} does not match grid shape {self.spec.shape}"
+            )
+        self._check_values(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+
+class Heatmap(Grid):
+    """Per-class center heatmap over a grid: float32 [C][Y][X] in [0, 1]."""
+
+    tag, article, noun = "f32", "an", "heatmap"
+
+    def _check_values(self, arr: np.ndarray) -> None:
+        # The bits of +0.0 through 1.0 read as the uints up to 1.0's, so one
+        # pass accepts any valid map without -0.0. NaN fails both comparisons.
+        if arr.view("<u4").max() > 0x3F800000 and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError("heatmap values must lie in [0, 1] and contain no NaNs")
+
+
+class PositiveMask(Grid):
+    """Per-class 0/1 grid of claimed cells: one stage's selections, or the
+    elementwise-max union of the stage masks seen so far."""
+
+    tag, article, noun = "u8", "a", "mask"
+
+    def _check_values(self, arr: np.ndarray) -> None:
+        if arr.max() > 1:
+            raise ValueError("mask bits must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -285,58 +308,67 @@ def write_grid_tensor(
         fh.write(arr)
 
 
-def read_grid_tensor(path: str | os.PathLike) -> tuple[BevGridSpec, np.ndarray, str]:
-    """Read a tensor written by :func:`write_grid_tensor`.
+def _read_header(fh, path: str | os.PathLike, cls: type[Grid]) -> tuple[BevGridSpec, int]:
+    """(spec, header length) of the ``cls`` grid file open as ``fh``; DataError on a bad header."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise DataError(f"{path}: missing header line")
+    header = decode_json(line[:-1], f"{path}: malformed header", DataError)
+    if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
+        raise DataError(f"{path}: not a {_FORMAT_TAG} file")
+    dtype = header.get("dtype")
+    if dtype not in _DTYPES:
+        raise DataError(f"{path}: unsupported dtype {dtype!r}")
+    for key, want in (("layout", "CYX"), ("endianness", "little")):
+        if header.get(key) != want:
+            raise DataError(f"{path}: unsupported {key} {header.get(key)!r}")
+    spec = from_json(BevGridSpec, header.get("spec"), f"{path}: spec", err=DataError)
+    if dtype != cls.tag:
+        raise DataError(
+            f"{path}: expected {cls.article} {cls.tag} {cls.noun}, found dtype {dtype!r}"
+        )
+    return spec, len(line)
 
-    Returns (spec, values, dtype tag). Raises DataError on any malformed
-    header, unsupported field, or size mismatch between header and blob.
-    """
+
+def read_grid_spec(path: str | os.PathLike, cls: type[Grid]) -> BevGridSpec:
+    """The spec of a ``cls`` grid file, read from its header alone; a bad
+    header raises DataError as :func:`load_grid` does."""
     try:
         with open(path, "rb") as fh:
-            line = fh.readline()
-            if not line.endswith(b"\n"):
-                raise DataError(f"{path}: missing header line")
-            header = decode_json(line[:-1], f"{path}: malformed header", DataError)
-            if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
-                raise DataError(f"{path}: not a {_FORMAT_TAG} file")
-            dtype = header.get("dtype")
-            if dtype not in _DTYPES:
-                raise DataError(f"{path}: unsupported dtype {dtype!r}")
-            for key, want in (("layout", "CYX"), ("endianness", "little")):
-                if header.get(key) != want:
-                    raise DataError(f"{path}: unsupported {key} {header.get(key)!r}")
-            spec = from_json(BevGridSpec, header.get("spec"), f"{path}: spec", err=DataError)
-            np_dtype = _DTYPES[dtype]
-            expected = spec.num_classes * spec.size_y * spec.size_x * np_dtype.itemsize
-            blob_len = os.fstat(fh.fileno()).st_size - len(line)
-            # Read into an aligned array the caller may adopt; a pipe has no size.
+            return _read_header(fh, path, cls)[0]
+    except (OSError, MemoryError) as exc:
+        raise DataError(f"cannot read grid tensor {path}: {exc}") from exc
+
+
+def save_grid(path: str | os.PathLike, grid: Grid) -> None:
+    """Persist a heatmap or mask to the grid-tensor container, tagged by its class."""
+    write_grid_tensor(path, grid.spec, grid.values, grid.tag)
+
+
+def load_grid(path: str | os.PathLike, cls: type[Grid]) -> Grid:
+    """``cls(spec, values)`` of a grid file written by :func:`save_grid`. A malformed
+    header, an unsupported field, another dtype than ``cls``'s, a size mismatch
+    between header and blob, or values ``cls`` rejects raise DataError."""
+    try:
+        with open(path, "rb") as fh:
+            spec, header_len = _read_header(fh, path, cls)
+            dtype = _DTYPES[cls.tag]
+            expected = spec.num_classes * spec.size_y * spec.size_x * dtype.itemsize
+            blob_len = os.fstat(fh.fileno()).st_size - header_len
+            # Read into an aligned array to adopt; a pipe has no size.
             if blob_len == expected or blob_len < 0:
-                values = np.empty(spec.shape, dtype=np_dtype)
+                values = np.empty(spec.shape, dtype=dtype)
                 blob_len = fh.readinto(values) + len(fh.read())
     except (OSError, MemoryError) as exc:
         raise DataError(f"cannot read grid tensor {path}: {exc}") from exc
     if blob_len != expected:
         raise DataError(f"{path}: blob holds {blob_len} bytes, header implies {expected}")
-    return spec, values, dtype
-
-
-def save_heatmap(path: str | os.PathLike, heatmap: Heatmap) -> None:
-    """Persist a heatmap to the grid-tensor container."""
-    write_grid_tensor(path, heatmap.spec, heatmap.values, "f32")
-
-
-def load_grid(path: str | os.PathLike, cls, dtype: str, what: str):
-    """``cls(spec, values)`` of a grid file holding ``dtype`` elements; a
-    file of another dtype, or values ``cls`` rejects, raise DataError."""
-    spec, values, found = read_grid_tensor(path)
-    if found != dtype:
-        raise DataError(f"{path}: expected {what}, found dtype {found!r}")
     try:
-        return adopt_grid(cls, spec, values)
+        return cls.adopt(spec, values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def load_heatmap(path: str | os.PathLike) -> Heatmap:
-    """Load a heatmap persisted by :func:`save_heatmap`."""
-    return load_grid(path, Heatmap, "f32", "an f32 heatmap")
+    """Load a heatmap persisted by :func:`save_grid`."""
+    return load_grid(path, Heatmap)

@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .bev_grid import load_heatmap
+from .bev_grid import Heatmap, load_heatmap, read_grid_spec, save_grid
 from .errors import BevProbeError, ConfigError, DataError, decode_json, read_columns, typed
 from .geometry import BoxColumns
-from .hip import HipConfig, MaskType, encode_compact_json, run_hip, save_mask
+from .hip import HipConfig, MaskType, encode_compact_json, run_hip
 from .metrics import (
     RecallConfig,
     average_recall,
@@ -191,7 +191,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
 
     # Stage 0 is read now, for its grid, and popped when run_hip takes it; each
-    # later stage file is read when its stage starts.
+    # later stage file is read when its stage starts. A later file's header is
+    # also checked now, unless it exists and is not a regular file: a FIFO such
+    # as /dev/stdin cannot be read twice.
     first = [load_heatmap(stage_paths[0])]
     spec = first[0].spec
     outside = sorted(c for c in small if not 0 <= c < spec.num_classes)
@@ -200,6 +202,14 @@ def cmd_probe(args: argparse.Namespace) -> int:
             f"--small-classes: ids must lie in [0, {spec.num_classes}) of the loaded grid, "
             f"got {outside}"
         )
+
+    def check_spec(path, found):
+        if found != spec:
+            raise DataError(f"{path}: grid spec differs from {stage_paths[0]}")
+
+    for path in stage_paths[1:]:
+        if Path(path).is_file() or not Path(path).exists():
+            check_spec(path, read_grid_spec(path, Heatmap))
 
     box_provider = None
     if mtype is MaskType.BOX:
@@ -210,16 +220,15 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
     def stage_heatmap(stage, _collected):
         hm = first.pop() if stage == 0 else load_heatmap(stage_paths[stage])
-        if hm.spec != spec:
-            raise DataError(f"{stage_paths[stage]}: grid spec differs from {stage_paths[0]}")
+        check_spec(stage_paths[stage], hm.spec)
         return hm
 
     result = run_hip(stage_heatmap, cfg, spec, box_provider=box_provider)
     out = _output_dir(args)
     _write_text(out / "candidates.jsonl", result.columns.to_jsonl())
     for trace in result.traces:
-        save_mask(out / f"mask_stage_{trace.stage}.bevgrid", trace.positive_mask)
-    save_mask(out / "mask_accumulated.bevgrid", result.accumulated_mask)
+        save_grid(out / f"mask_stage_{trace.stage}.bevgrid", trace.positive_mask)
+    save_grid(out / "mask_accumulated.bevgrid", result.accumulated_mask)
     return 0
 
 

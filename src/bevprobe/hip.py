@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .bev_grid import BevGridSpec, Heatmap, adopt_grid, frozen_grid, load_grid, write_grid_tensor
+from .bev_grid import BevGridSpec, Heatmap, PositiveMask
 from .columns import RowColumns
 from .errors import BevProbeError, DataError, decode_json, from_json
 from .geometry import BevBox, BoxColumns, box_corners
@@ -122,28 +121,6 @@ class CandidateColumns(RowColumns):
 
 
 @dataclass(frozen=True)
-class PositiveMask:
-    """Per-class 0/1 grid of claimed cells: one stage's selections, or the
-    elementwise-max union of the stage masks seen so far.
-
-    Bits are copied and frozen at construction.
-    """
-
-    spec: BevGridSpec
-    bits: np.ndarray
-
-    def __post_init__(self, copy: bool = True) -> None:
-        arr = frozen_grid(self.spec, self.bits, np.uint8, "mask", copy)
-        if arr.max() > 1:
-            raise ValueError("mask bits must be 0 or 1")
-        object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def zeros(cls, spec: BevGridSpec) -> "PositiveMask":
-        return adopt_grid(cls, spec, np.zeros(spec.shape, dtype=np.uint8))
-
-
-@dataclass(frozen=True)
 class TopKResult:
     columns: CandidateColumns
     degenerate: bool
@@ -168,7 +145,7 @@ def topk_select(
     if accumulated is not None and accumulated.spec != spec:
         raise ValueError("accumulated mask grid spec does not match the heatmap")
     flat = heatmap.values.ravel()
-    taken = None if accumulated is None else accumulated.bits.ravel().view(np.bool_)
+    taken = None if accumulated is None else accumulated.values.ravel().view(np.bool_)
 
     def unclaimed(cells: np.ndarray) -> np.ndarray:
         return cells if taken is None else cells[~taken[cells]]
@@ -312,13 +289,7 @@ def build_positive_mask(
     cols = CandidateColumns.of(candidates)
     n = len(cols)
     cls = cols.class_id
-    index = (cls, cols.y, cols.x)
-    try:
-        cells = np.ravel_multi_index(index, spec.shape)  # raises on any index off the grid
-    except ValueError:
-        bad = next(cd for cd in cols if not (
-            0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)))
-        raise ValueError(f"candidate {bad} lies outside the grid") from None
+    cells = spec.flat_cells(cols, "candidate")
     bits = np.zeros(spec.shape, dtype=np.uint8)
     bits.reshape(-1)[cells] = 1
     if cfg.mask_type is MaskType.POOLING:
@@ -334,14 +305,14 @@ def build_positive_mask(
         if len(boxes) != n:
             raise ValueError(f"{n} candidates but {len(boxes)} predicted boxes")
         _rasterize_boxes(bits, cls, BoxColumns.of(boxes), spec)
-    return adopt_grid(PositiveMask, spec, bits)
+    return PositiveMask.adopt(spec, bits)
 
 
 def accumulate_mask(accumulated: PositiveMask, mask: PositiveMask) -> PositiveMask:
     """Fold one stage mask into the running union (elementwise max)."""
     if accumulated.spec != mask.spec:
         raise ValueError("mask grid specs do not match")
-    return adopt_grid(PositiveMask, accumulated.spec, np.maximum(accumulated.bits, mask.bits))
+    return PositiveMask.adopt(accumulated.spec, np.maximum(accumulated.values, mask.values))
 
 
 def apply_mask(heatmap: Heatmap, accumulated: PositiveMask) -> Heatmap:
@@ -349,8 +320,8 @@ def apply_mask(heatmap: Heatmap, accumulated: PositiveMask) -> Heatmap:
     if heatmap.spec != accumulated.spec:
         raise ValueError("mask grid spec does not match the heatmap")
     # Bits are 0/1, so they view as bool without a full-grid temporary.
-    claimed = accumulated.bits.view(np.bool_)
-    return adopt_grid(Heatmap, heatmap.spec, np.where(claimed, np.float32(0), heatmap.values))
+    claimed = accumulated.values.view(np.bool_)
+    return Heatmap.adopt(heatmap.spec, np.where(claimed, np.float32(0), heatmap.values))
 
 
 StageSource = Callable[[int, Sequence[Candidate]], Heatmap]
@@ -441,11 +412,3 @@ def candidates_from_jsonl(text: str) -> list[Candidate]:
         out.append(from_json(Candidate, record, f"line {lineno}: candidate", err=DataError))
     return out
 
-
-def save_mask(path: str | os.PathLike, mask: PositiveMask) -> None:
-    """Persist mask bits in the u8 grid-tensor container."""
-    write_grid_tensor(path, mask.spec, mask.bits, "u8")
-
-
-def load_accumulated_mask(path: str | os.PathLike) -> PositiveMask:
-    return load_grid(path, PositiveMask, "u8", "a u8 mask")

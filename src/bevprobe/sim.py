@@ -377,12 +377,7 @@ def oracle_stage_heatmap(
     if stage < 0:
         raise ValueError(f"stage must be non-negative, got {stage}")
     clutter = scene.clutter
-    try:  # raises on any index off the grid
-        cells = np.ravel_multi_index((clutter.class_id, clutter.y, clutter.x), spec.shape)
-    except ValueError:
-        i, peak = next((i, p) for i, p in enumerate(clutter) if not (
-            0 <= p.class_id < spec.num_classes and spec.contains_cell(p.x, p.y)))
-        raise ValueError(f"clutter peak {i} {peak} lies outside grid {spec.shape}") from None
+    cells = spec.flat_cells(clutter, "clutter peak")
     try:
         gain = model.stage_gain ** stage
     except OverflowError:  # amplitudes are capped at 1, so this gain saturates them

@@ -209,7 +209,7 @@ def test_criterion_01_staged_exclusion_never_reselects_masked_cells():
             for trace in result.traces:
                 for cand in trace.columns.rows():
                     assert prev_bits[cand.class_id, cand.y, cand.x] == 0
-                prev_bits = np.maximum(prev_bits, trace.positive_mask.bits)
+                prev_bits = np.maximum(prev_bits, trace.positive_mask.values)
             if mode is MaskType.POINT:
                 triples = [(c.class_id, c.y, c.x) for c in result.columns.rows()]
                 assert len(triples) == len(set(triples))
@@ -233,14 +233,14 @@ def test_criterion_02_masking_algebra_is_exact():
             reference = np.zeros(spec.shape, dtype=np.uint8)
             for _stage in range(int(rng.integers(1, 4))):
                 bits = (rng.random(spec.shape) < 0.2).astype(np.uint8)
-                before = acc.bits
+                before = acc.values
                 acc = accumulate_mask(acc, PositiveMask(spec, bits))
                 reference = np.maximum(reference, bits)
-                np.testing.assert_array_equal(acc.bits, reference)
-                assert (acc.bits >= before).all()
+                np.testing.assert_array_equal(acc.values, reference)
+                assert (acc.values >= before).all()
                 masked = apply_mask(heatmap, acc)
                 np.testing.assert_array_equal(
-                    masked.values, values * (1 - acc.bits).astype(np.float32)
+                    masked.values, values * (1 - acc.values).astype(np.float32)
                 )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -13,20 +14,21 @@ from bevprobe.bev_grid import (
     BevGridSpec,
     GaussianRenderConfig,
     Heatmap,
-    adopt_grid,
+    PositiveMask,
     draw_gaussian_peak,
     gaussian_radius,
+    load_grid,
     load_heatmap,
     radius_for_box,
     render_gaussian_heatmap,
-    save_heatmap,
+    save_grid,
     write_grid_tensor,
     _unit_gaussian,
 )
 from bevprobe.cli import main
 from bevprobe.errors import DataError
 from bevprobe.geometry import BevBox
-from bevprobe.hip import PositiveMask, save_mask
+from bevprobe.hip import Candidate, CandidateColumns
 
 RNG = np.random.default_rng
 
@@ -61,20 +63,28 @@ class TestBevGridSpec:
             assert back[1] == pytest.approx(p[1], abs=1e-9)
         assert spec.grid_to_world((90.0, 90.0)) == (0.0, 0.0)
 
-    def test_contains_cell(self):
-        spec = BevGridSpec(4, 3, 1, 1.0, 0.0, 0.0)
-        assert spec.contains_cell(0, 0)
-        assert spec.contains_cell(3, 2)
-        assert not spec.contains_cell(4, 0)
-        assert not spec.contains_cell(0, 3)
-        assert not spec.contains_cell(-1, 0)
+    def test_flat_cells(self):
+        spec = BevGridSpec(4, 3, 2, 1.0, 0.0, 0.0)
+        on = CandidateColumns.of([Candidate(x, y, c, 0.5, 0, 0.0, 0.0)
+                                  for x, y, c in ((0, 0, 0), (3, 2, 1), (1, 2, 0))])
+        assert spec.flat_cells(on, "candidate").tolist() == [0, 23, 9]
+        for x, y, c in ((4, 0, 0), (0, 3, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 2), (0, 0, -1)):
+            rows = [Candidate(1, 1, 0, 0.5, 0, 0.0, 0.0), Candidate(x, y, c, 0.5, 0, 0.0, 0.0)]
+            message = f"candidate 1 {rows[1]} lies outside grid (2, 3, 4)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                spec.flat_cells(CandidateColumns.of(rows), "candidate")
+
+
+GRID_TYPES = ((Heatmap, np.float32, 1.5), (PositiveMask, np.uint8, 2))
 
 
 class TestHeatmap:
     def test_shape_checked(self):
         spec = BevGridSpec(4, 4, 2, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Heatmap(spec, np.zeros((2, 4, 5), dtype=np.float32))
+        for cls, dtype, _ in GRID_TYPES:
+            message = f"{cls.noun} shape (2, 4, 5) does not match grid shape (2, 4, 4)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cls(spec, np.zeros((2, 4, 5), dtype=dtype))
 
     def test_range_checked(self):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
@@ -87,45 +97,53 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             Heatmap(spec, bad)
 
+    @pytest.mark.parametrize("build", ["copy", "adopt"])
+    def test_range_check_edges(self, build):
+        # The one-pass bit test must keep the exact [0, 1] rule at its edges.
+        spec = BevGridSpec(3, 1, 1, 1.0, 0.0, 0.0)
+        make = Heatmap if build == "copy" else Heatmap.adopt
+        for good in (-0.0, 1.0, np.nextafter(np.float32(0), np.float32(1))):
+            assert make(spec, np.array([[[0.5, good, 1.0]]], dtype=np.float32)).values[0, 0, 1] == good
+        upper = np.nextafter(np.float32(1), np.float32(2))
+        for bad in (upper, np.float32(-1e-45), np.nan, -np.nan, np.inf, -np.inf, -1.0):
+            for row in ([0.5, bad, 1.0], [-0.0, bad, 0.0]):
+                with pytest.raises(ValueError, match="must lie in \\[0, 1\\] and contain no NaNs"):
+                    make(spec, np.array([row], dtype=np.float32)[None])
+
     def test_values_frozen_and_copied(self):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
-        source = np.zeros(spec.shape, dtype=np.float32)
-        hm = Heatmap(spec, source)
-        source[0, 0, 0] = 1.0
-        assert hm.values[0, 0, 0] == 0.0
-        with pytest.raises(ValueError):
-            hm.values[0, 0, 0] = 0.5
+        for cls, dtype, _ in GRID_TYPES:
+            source = np.zeros(spec.shape, dtype=dtype)
+            grid = cls(spec, source)
+            source[0, 0, 0] = 1
+            assert grid.values[0, 0, 0] == 0
+            with pytest.raises(ValueError):
+                grid.values[0, 0, 0] = 1
 
     def test_adopted_array_is_frozen_not_copied_and_still_checked(self):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
-        for cls, dtype, bad in ((Heatmap, np.float32, 1.5), (PositiveMask, np.uint8, 2)):
+        for cls, dtype, bad in GRID_TYPES:
             fresh = np.zeros(spec.shape, dtype=dtype)
-            grid = adopt_grid(cls, spec, fresh)
+            grid = cls.adopt(spec, fresh)
             assert type(grid) is cls and grid.spec is spec
-            assert getattr(grid, "values" if cls is Heatmap else "bits") is fresh
+            assert grid.values is fresh
             assert not fresh.flags.writeable
             with pytest.raises(ValueError, match="shape"):
-                adopt_grid(cls, spec, np.zeros((1, 2, 3), dtype=dtype))
+                cls.adopt(spec, np.zeros((1, 2, 3), dtype=dtype))
             with pytest.raises(ValueError, match="must"):
-                adopt_grid(cls, spec, np.full(spec.shape, bad, dtype=dtype))
+                cls.adopt(spec, np.full(spec.shape, bad, dtype=dtype))
         with pytest.raises(ValueError, match="NaN"):
-            adopt_grid(Heatmap, spec, np.full(spec.shape, np.nan, dtype=np.float32))
-
-    def test_mask_bits_frozen_and_copied(self):
-        spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
-        source = np.zeros(spec.shape, dtype=np.uint8)
-        mask = PositiveMask(spec, source)
-        source[0, 0, 0] = 1
-        assert mask.bits[0, 0, 0] == 0
-        with pytest.raises(ValueError):
-            mask.bits[0, 0, 0] = 1
+            Heatmap.adopt(spec, np.full(spec.shape, np.nan, dtype=np.float32))
 
     def test_zeros(self):
         spec = BevGridSpec(3, 2, 2, 1.0, 0.0, 0.0)
-        hm = Heatmap.zeros(spec)
-        assert hm.values.shape == (2, 2, 3)
-        assert hm.values.dtype == np.float32
-        assert not hm.values.any()
+        for cls, dtype, _ in GRID_TYPES:
+            grid = cls.zeros(spec)
+            assert type(grid) is cls
+            assert grid.values.shape == (2, 2, 3)
+            assert grid.values.dtype == dtype
+            assert not grid.values.any()
+            assert not grid.values.flags.writeable
 
 
 class TestGaussianRadius:
@@ -352,15 +370,39 @@ class TestHeatmapFileFormat:
     def test_roundtrip(self, tmp_path):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         back = load_heatmap(path)
         assert back.spec == hm.spec
         np.testing.assert_array_equal(back.values, hm.values)
 
+    def test_save_grid_load_grid_roundtrip(self, tmp_path):
+        spec = BevGridSpec(5, 4, 2, 0.5, -1.0, 2.0)
+        for cls, values in ((Heatmap, RNG(5).random(spec.shape).astype(np.float32)),
+                            (PositiveMask, RNG(6).integers(0, 2, spec.shape).astype(np.uint8))):
+            path = tmp_path / f"{cls.noun}.bevgrid"
+            save_grid(path, cls(spec, values))
+            assert json.loads(path.read_bytes().split(b"\n", 1)[0])["dtype"] == cls.tag
+            back = load_grid(path, cls)
+            assert type(back) is cls and back.spec == spec
+            assert back.values.dtype == values.dtype and not back.values.flags.writeable
+            np.testing.assert_array_equal(back.values, values)
+
+    def test_wrong_tag_rejected_by_each_class(self, tmp_path):
+        spec = BevGridSpec(3, 2, 1, 1.0, 0.0, 0.0)
+        for saved, cls, message in (
+            (Heatmap, PositiveMask, "expected a u8 mask, found dtype 'f32'"),
+            (PositiveMask, Heatmap, "expected an f32 heatmap, found dtype 'u8'"),
+        ):
+            path = tmp_path / f"{saved.noun}.bevgrid"
+            save_grid(path, saved.zeros(spec))
+            with pytest.raises(DataError) as info:
+                load_grid(path, cls)
+            assert str(info.value) == f"{path}: {message}"
+
     def test_header_line_is_json(self, tmp_path):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         header_line = path.read_bytes().split(b"\n", 1)[0]
         header = json.loads(header_line)
         assert header["dtype"] == "f32"
@@ -372,14 +414,14 @@ class TestHeatmapFileFormat:
     def test_deterministic_bytes(self, tmp_path):
         hm = self._heatmap()
         p1, p2 = tmp_path / "a", tmp_path / "b"
-        save_heatmap(p1, hm)
-        save_heatmap(p2, hm)
+        save_grid(p1, hm)
+        save_grid(p2, hm)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_blob_rejected(self, tmp_path):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(DataError):
@@ -388,7 +430,7 @@ class TestHeatmapFileFormat:
     def test_oversized_blob_rejected(self, tmp_path):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(DataError, match="header implies"):
             load_heatmap(path)
@@ -414,7 +456,7 @@ class TestHeatmapFileFormat:
     def test_bad_header_spec_rejected(self, tmp_path, capsys):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         header, blob = path.read_bytes().split(b"\n", 1)
         doc = json.loads(header)
         del doc["spec"]["size_x"]
@@ -440,7 +482,7 @@ class TestHeatmapFileFormat:
     def test_pipe_reads_like_a_file(self, tmp_path):
         # A pipe reports no size, so its blob is read and then counted.
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, self._heatmap())
+        save_grid(path, self._heatmap())
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         for tail in (b"", b"\x00"):
@@ -468,7 +510,7 @@ class TestHeatmapFileFormat:
 
     def test_loaded_values_are_read_only(self, tmp_path):
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, self._heatmap())
+        save_grid(path, self._heatmap())
         back = load_heatmap(path)
         assert not back.values.flags.writeable and back.values.flags.aligned
         with pytest.raises(ValueError):
@@ -478,7 +520,7 @@ class TestHeatmapFileFormat:
     def test_malformed_file_message_and_probe_exit(self, tmp_path, capsys, case):
         hm = self._heatmap()
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         data = path.read_bytes()
         header = data.split(b"\n", 1)[0]
         size = hm.values.nbytes
@@ -495,7 +537,7 @@ class TestHeatmapFileFormat:
             path.write_bytes(b"")
             message = f"{path}: missing header line"
         else:
-            save_mask(path, PositiveMask.zeros(hm.spec))
+            save_grid(path, PositiveMask.zeros(hm.spec))
             message = f"{path}: expected an f32 heatmap, found dtype 'u8'"
         with pytest.raises(DataError) as info:
             load_heatmap(path)
@@ -523,7 +565,7 @@ class TestHeatmapFileFormat:
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
         hm = Heatmap.zeros(spec)
         path = tmp_path / "map.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         header, blob = path.read_bytes().split(b"\n", 1)
         bad = np.full(spec.shape, 2.0, dtype="<f4").tobytes()
         path.write_bytes(header + b"\n" + bad)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import xml.dom.minidom
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevprobe import hip
-from bevprobe.bev_grid import BevGridSpec, Heatmap, save_heatmap, write_grid_tensor
+from bevprobe.bev_grid import BevGridSpec, Heatmap, PositiveMask, load_grid, save_grid, write_grid_tensor
 from bevprobe.cli import _write_json, main
 from bevprobe.errors import ConfigError
 from bevprobe.geometry import BevBox
@@ -31,7 +32,6 @@ from bevprobe.hip import (
     HipConfig,
     MaskType,
     candidates_from_jsonl,
-    load_accumulated_mask,
     run_hip,
 )
 from bevprobe.metrics import RecallConfig, average_recall, merge_reports, recall_report_to_dict
@@ -309,7 +309,7 @@ def stage_files(tmp_path, num_stages=2, seed=40, size=12, num_classes=2):
     for s in range(num_stages):
         hm = Heatmap(spec, rng.random(spec.shape).astype(np.float32))
         path = tmp_path / f"stage{s}.bevgrid"
-        save_heatmap(path, hm)
+        save_grid(path, hm)
         paths.append(str(path))
         maps.append(hm)
     return spec, paths, maps
@@ -328,11 +328,11 @@ class TestProbeCommand:
         expected = run_hip(lambda stage, _: maps[stage], cfg, spec)
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.columns.rows()
-        acc = load_accumulated_mask(out / "mask_accumulated.bevgrid")
-        np.testing.assert_array_equal(acc.bits, expected.accumulated_mask.bits)
+        acc = load_grid(out / "mask_accumulated.bevgrid", PositiveMask)
+        np.testing.assert_array_equal(acc.values, expected.accumulated_mask.values)
         for trace in expected.traces:
-            per_stage = load_accumulated_mask(out / f"mask_stage_{trace.stage}.bevgrid")
-            np.testing.assert_array_equal(per_stage.bits, trace.positive_mask.bits)
+            per_stage = load_grid(out / f"mask_stage_{trace.stage}.bevgrid", PositiveMask)
+            np.testing.assert_array_equal(per_stage.values, trace.positive_mask.values)
 
     def test_each_stage_file_is_read_when_its_stage_starts(self, tmp_path):
         # No stage heatmap is loaded ahead of its stage or kept after it, so
@@ -414,7 +414,7 @@ class TestProbeCommand:
             ]) == 0
         assert digest_dir(outs[1000000001]) == digest_dir(outs[spanning])
         # Such a window covers the whole plane of each selected class.
-        stage0 = load_accumulated_mask(outs[spanning] / "mask_stage_0.bevgrid").bits
+        stage0 = load_grid(outs[spanning] / "mask_stage_0.bevgrid", PositiveMask).values
         assert stage0.any() and all(plane.all() or not plane.any() for plane in stage0)
 
     def test_box_mode_with_fixed_footprint(self, tmp_path):
@@ -436,8 +436,8 @@ class TestProbeCommand:
         )
         got = candidates_from_jsonl((out / "candidates.jsonl").read_text())
         assert tuple(got) == expected.columns.rows()
-        acc = load_accumulated_mask(out / "mask_accumulated.bevgrid")
-        np.testing.assert_array_equal(acc.bits, expected.accumulated_mask.bits)
+        acc = load_grid(out / "mask_accumulated.bevgrid", PositiveMask)
+        np.testing.assert_array_equal(acc.values, expected.accumulated_mask.values)
 
     def test_flag_validation(self, tmp_path):
         spec, paths, _ = stage_files(tmp_path)
@@ -529,7 +529,7 @@ class TestProbeCommand:
         ])
         assert code == 0
         (cand,) = candidates_from_jsonl((out / "candidates.jsonl").read_text())
-        bits = load_accumulated_mask(out / "mask_accumulated.bevgrid").bits
+        bits = load_grid(out / "mask_accumulated.bevgrid", PositiveMask).values
         assert bits[cand.class_id].all()
         assert bits.sum() == spec.size_x * spec.size_y
 
@@ -558,12 +558,72 @@ class TestProbeCommand:
         _, paths_a, _ = stage_files(tmp_path, num_stages=1, size=12)
         spec_b = BevGridSpec(10, 10, 2, 0.5, -3.0, -3.0)
         other = tmp_path / "other.bevgrid"
-        save_heatmap(other, Heatmap.zeros(spec_b))
+        save_grid(other, Heatmap.zeros(spec_b))
         code = main([
             "probe", "--stage", paths_a[0], "--stage", str(other),
             "--output-dir", str(tmp_path / "out"), "--k", "3",
         ])
         assert code == 3
+
+    def _counting(self, monkeypatch, name):
+        """Count the calls cmd_probe makes to ``cli.<name>``."""
+        from bevprobe import cli
+
+        calls = []
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("bad", ["spec", "mask", "missing"])
+    def test_bad_later_stage_header_exits_before_stage_0(self, tmp_path, capsys, monkeypatch, bad):
+        spec, paths, _ = stage_files(tmp_path, num_stages=3)
+        if bad == "spec":
+            save_grid(paths[2], Heatmap.zeros(BevGridSpec(10, 12, 2, 0.5, -3.0, -3.0)))
+            message = f"{paths[2]}: grid spec differs from {paths[0]}"
+        elif bad == "mask":
+            save_grid(paths[2], PositiveMask.zeros(spec))
+            message = f"{paths[2]}: expected an f32 heatmap, found dtype 'u8'"
+        else:
+            os.remove(paths[2])
+            message = f"cannot read grid tensor {paths[2]}: "
+        runs = self._counting(monkeypatch, "run_hip")
+        loads = self._counting(monkeypatch, "load_heatmap")
+        out = tmp_path / "out"
+        argv = ["probe", "--output-dir", str(out), "--k", "3"]
+        for path in paths:
+            argv += ["--stage", path]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert runs == [] and len(loads) == 1
+        assert not out.exists()
+
+    def test_fifo_later_stage_still_runs(self, tmp_path, monkeypatch):
+        _, paths, _ = stage_files(tmp_path, num_stages=3)
+        fifo = tmp_path / "stage1.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(Path(paths[1]).read_bytes(),))
+        loads = self._counting(monkeypatch, "load_heatmap")
+        outs = {}
+        for name, middle in (("file", paths[1]), ("fifo", str(fifo))):
+            outs[name] = tmp_path / name
+            if name == "fifo":
+                writer.start()
+            argv = ["probe", "--output-dir", str(outs[name]), "--k", "3"]
+            for path in (paths[0], middle, paths[2]):
+                argv += ["--stage", path]
+            assert main(argv) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(loads) == 6
+        for f in sorted(p.name for p in outs["file"].iterdir()):
+            if f != "run_info.json":
+                assert (outs["file"] / f).read_bytes() == (outs["fifo"] / f).read_bytes(), f
 
     def test_corrupt_stage_file(self, tmp_path):
         bad = tmp_path / "bad.bevgrid"

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bevprobe.bev_grid import BevGridSpec, Heatmap
+from bevprobe.bev_grid import BevGridSpec, Heatmap, load_grid, save_grid
 from bevprobe.errors import ConfigError, DataError
 from bevprobe.geometry import BevBox
 from bevprobe.hip import (
@@ -18,9 +18,7 @@ from bevprobe.hip import (
     apply_mask,
     build_positive_mask,
     candidates_from_jsonl,
-    load_accumulated_mask,
     run_hip,
-    save_mask,
     topk_select,
 )
 
@@ -172,7 +170,7 @@ class TestBuildPositiveMask:
         expect = np.zeros(spec.shape, dtype=np.uint8)
         expect[0, 2, 1] = 1
         expect[1, 4, 4] = 1
-        np.testing.assert_array_equal(mask.bits, expect)
+        np.testing.assert_array_equal(mask.values, expect)
 
     def test_pooling_mode_square_window(self):
         spec = make_spec(5, 5, 1)
@@ -180,7 +178,7 @@ class TestBuildPositiveMask:
         mask = build_positive_mask([cand(2, 2)], cfg, spec)
         expect = np.zeros(spec.shape, dtype=np.uint8)
         expect[0, 1:4, 1:4] = 1
-        np.testing.assert_array_equal(mask.bits, expect)
+        np.testing.assert_array_equal(mask.values, expect)
 
     def test_pooling_mode_clips_at_border(self):
         spec = make_spec(4, 4, 1)
@@ -188,7 +186,7 @@ class TestBuildPositiveMask:
         mask = build_positive_mask([cand(0, 0)], cfg, spec)
         expect = np.zeros(spec.shape, dtype=np.uint8)
         expect[0, 0:2, 0:2] = 1
-        np.testing.assert_array_equal(mask.bits, expect)
+        np.testing.assert_array_equal(mask.values, expect)
 
     def test_pooling_small_class_stays_single_cell(self):
         spec = make_spec(5, 5, 2)
@@ -197,9 +195,9 @@ class TestBuildPositiveMask:
             small_classes=frozenset({1}),
         )
         mask = build_positive_mask([cand(2, 2, 0), cand(2, 2, 1)], cfg, spec)
-        assert mask.bits[0].sum() == 9
-        assert mask.bits[1].sum() == 1
-        assert mask.bits[1, 2, 2] == 1
+        assert mask.values[0].sum() == 9
+        assert mask.values[1].sum() == 1
+        assert mask.values[1, 2, 2] == 1
 
     def test_wider_pooling_kernel(self):
         spec = make_spec(7, 7, 1)
@@ -207,8 +205,8 @@ class TestBuildPositiveMask:
             num_stages=1, k_per_stage=(1,), mask_type=MaskType.POOLING, pooling_kernel=5
         )
         mask = build_positive_mask([cand(3, 3)], cfg, spec)
-        assert mask.bits[0].sum() == 25
-        assert mask.bits[0, 1:6, 1:6].sum() == 25
+        assert mask.values[0].sum() == 25
+        assert mask.values[0, 1:6, 1:6].sum() == 25
 
     def test_box_mode_axis_aligned_footprint(self):
         # 3 m x 3 m box centered on a lattice point of a 0.6 m grid marks
@@ -220,7 +218,7 @@ class TestBuildPositiveMask:
         mask = build_positive_mask([c], cfg, spec, boxes=[box])
         expect = np.zeros(spec.shape, dtype=np.uint8)
         expect[0, 3:8, 3:8] = 1
-        np.testing.assert_array_equal(mask.bits, expect)
+        np.testing.assert_array_equal(mask.values, expect)
 
     def test_box_mode_matches_point_in_rectangle_oracle(self):
         rng = RNG(1)
@@ -247,7 +245,7 @@ class TestBuildPositiveMask:
                     v = -sin_t * du + cos_t * dv
                     if abs(u) <= box.length / 2 and abs(v) <= box.width / 2:
                         expect[0, y, x] = 1
-            np.testing.assert_array_equal(mask.bits, expect)
+            np.testing.assert_array_equal(mask.values, expect)
 
     @pytest.mark.parametrize("cx,cy,yaw", [
         (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan),
@@ -282,7 +280,7 @@ class TestMaskAlgebra:
             a = PositiveMask(spec, rng.integers(0, 2, size=spec.shape))
             m = PositiveMask(spec, rng.integers(0, 2, size=spec.shape))
             merged = accumulate_mask(a, m)
-            np.testing.assert_array_equal(merged.bits, np.maximum(a.bits, m.bits))
+            np.testing.assert_array_equal(merged.values, np.maximum(a.values, m.values))
 
     def test_accumulate_spec_mismatch(self):
         a = PositiveMask.zeros(make_spec(4, 4, 1))
@@ -409,8 +407,8 @@ class TestRunHip:
             acc = PositiveMask(spec, prev)
             expect = topk_select(apply_mask(Heatmap(spec, values), acc), acc, 5, trace.stage)
             assert trace.columns == expect.columns
-            prev = np.maximum(prev, trace.positive_mask.bits)
-        np.testing.assert_array_equal(result.accumulated_mask.bits, prev)
+            prev = np.maximum(prev, trace.positive_mask.values)
+        np.testing.assert_array_equal(result.accumulated_mask.values, prev)
 
     def test_callable_source_sees_prior_candidates(self):
         spec = make_spec(4, 4, 1)
@@ -548,15 +546,13 @@ class TestMaskFiles:
         bits = RNG(9).integers(0, 2, size=spec.shape).astype(np.uint8)
         apm = PositiveMask(spec, bits)
         path = tmp_path / "mask.bevgrid"
-        save_mask(path, apm)
-        back = load_accumulated_mask(path)
+        save_grid(path, apm)
+        back = load_grid(path, PositiveMask)
         assert back.spec == spec
-        np.testing.assert_array_equal(back.bits, bits)
+        np.testing.assert_array_equal(back.values, bits)
 
     def test_heatmap_file_rejected_as_mask(self, tmp_path):
-        from bevprobe.bev_grid import save_heatmap
-
         spec = make_spec(3, 3, 1)
-        save_heatmap(tmp_path / "hm.bevgrid", Heatmap.zeros(spec))
+        save_grid(tmp_path / "hm.bevgrid", Heatmap.zeros(spec))
         with pytest.raises(DataError, match="u8"):
-            load_accumulated_mask(tmp_path / "hm.bevgrid")
+            load_grid(tmp_path / "hm.bevgrid", PositiveMask)

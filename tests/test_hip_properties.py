@@ -89,9 +89,10 @@ def box_mask_oracle(candidates, boxes, spec):
 def mask_loop_oracle(candidates, cfg, spec, boxes=None):
     """Per-candidate loops: a bounds pass, then one marking pass per mode."""
     bits = np.zeros(spec.shape, dtype=np.uint8)
-    for cd in candidates:
-        if not (0 <= cd.class_id < spec.num_classes and spec.contains_cell(cd.x, cd.y)):
-            raise ValueError(f"candidate {cd} lies outside the grid")
+    for i, cd in enumerate(candidates):
+        if not (0 <= cd.class_id < spec.num_classes and 0 <= cd.x < spec.size_x
+                and 0 <= cd.y < spec.size_y):
+            raise ValueError(f"candidate {i} {cd} lies outside grid {spec.shape}")
     if cfg.mask_type is MaskType.POINT:
         for cd in candidates:
             bits[cd.class_id, cd.y, cd.x] = 1
@@ -345,7 +346,7 @@ class TestBoxMaskProperties:
         with mock.patch.object(hip, "_RASTER_CHUNK_CELLS", chunk):
             mask = build_positive_mask(candidates, BOX_CFG, spec, boxes=boxes)
 
-        assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
+        assert (mask.values == box_mask_oracle(candidates, boxes, spec)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -371,9 +372,9 @@ class TestBoxMaskProperties:
 
         mask = build_positive_mask(candidates, BOX_CFG, spec, boxes=boxes)
 
-        assert (mask.bits == box_mask_oracle(candidates, boxes.rows(), spec)).all()
+        assert (mask.values == box_mask_oracle(candidates, boxes.rows(), spec)).all()
         rows = build_positive_mask(candidates, BOX_CFG, spec, boxes=list(boxes.rows()))
-        assert mask.bits.tobytes() == rows.bits.tobytes()
+        assert mask.values.tobytes() == rows.values.tobytes()
 
     def test_many_boxes_plus_a_grid_spanning_box_stay_in_bounded_memory(self):
         spec = BevGridSpec(1024, 1024, 1, 0.2, -102.4, -102.4)
@@ -401,7 +402,7 @@ class TestBoxMaskProperties:
         # 2001 x 1024 x 1024 cells; the chunked rasterizer needs a few
         # grid-sized temporaries.
         assert peak < 200e6
-        assert (mask.bits == box_mask_oracle(candidates, boxes, spec)).all()
+        assert (mask.values == box_mask_oracle(candidates, boxes, spec)).all()
 
 
 @st.composite
@@ -439,7 +440,7 @@ class TestMaskProperties:
 
         mask = build_positive_mask(candidates, cfg, spec, boxes=box_arg)
 
-        assert mask.bits.tobytes() == mask_loop_oracle(candidates, cfg, spec, box_arg).tobytes()
+        assert mask.values.tobytes() == mask_loop_oracle(candidates, cfg, spec, box_arg).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -516,8 +517,8 @@ class TestRunHipProperties:
             expect = topk_select(apply_mask(hm, earlier), earlier, k, trace.stage)
             assert cols == expect.columns
             assert trace.degenerate == expect.degenerate
-            union |= trace.positive_mask.bits
-        assert result.accumulated_mask.bits.tobytes() == union.tobytes()
+            union |= trace.positive_mask.values
+        assert result.accumulated_mask.values.tobytes() == union.tobytes()
         assert result.columns == CandidateColumns.concat([t.columns for t in result.traces])
         assert result.degenerate == any(t.degenerate for t in result.traces)
 
@@ -661,7 +662,7 @@ class TestCandidateColumnsProperties:
         from_cols = build_positive_mask(cols, cfg, spec, boxes=boxes)
         from_rows = build_positive_mask(rows, cfg, spec, boxes=boxes)
 
-        assert from_cols.bits.tobytes() == from_rows.bits.tobytes()
+        assert from_cols.values.tobytes() == from_rows.values.tobytes()
         assert classify_stage(cols, gts, MatchConfig(eta=2.0)) == classify_stage(
             rows, gts, MatchConfig(eta=2.0)
         )

@@ -46,12 +46,14 @@ def test_outside_json_has_one_decoder():
 
 
 GRID_ORIGINS = {"origin_x", "origin_y"}
-GRID_CALLS = {"read_grid_tensor", "draw_gaussian_peak"}
+GRID_CALLS = {"_read_header", "draw_gaussian_peak", "ravel_multi_index"}
+GRID_TAGS = {"f32", "u8"}
 
 
 def grid_rule_uses(tree):
-    """Each grid origin read, and each call of the grid-file reader or the
-    Gaussian splat, by name."""
+    """Each grid origin read, each call of the grid-file header parser, the
+    Gaussian splat or the flat cell index, by name, and each grid-file dtype
+    tag written as a string."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in GRID_ORIGINS:
             yield node.attr
@@ -60,16 +62,19 @@ def grid_rule_uses(tree):
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
             if name in GRID_CALLS:
                 yield name
+        elif isinstance(node, ast.Constant) and node.value in GRID_TAGS:
+            yield node.value
 
 
 def test_grid_rules_live_in_bev_grid():
-    # Cell placement in the world, the grid-file format and the splat have
-    # one home, so a copy in hip or sim cannot drift from it.
+    # Cell placement in the world, the grid-file format, its dtype tags, the
+    # on-grid cell check and the splat have one home, so a copy in hip, sim or
+    # cli cannot drift from it.
     uses = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for name in grid_rule_uses(ast.parse(path.read_text(encoding="utf-8"))):
             uses.setdefault(path.name, set()).add(name)
-    assert uses == {"bev_grid.py": GRID_ORIGINS | GRID_CALLS}, uses
+    assert uses == {"bev_grid.py": GRID_ORIGINS | GRID_CALLS | GRID_TAGS}, uses
 
 
 HEADING_TRIG = {(module, f) for module in ("math", "np", "numpy") for f in ("cos", "sin")}
