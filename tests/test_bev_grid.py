@@ -110,15 +110,21 @@ class TestHeatmap:
                 with pytest.raises(ValueError, match="must lie in \\[0, 1\\] and contain no NaNs"):
                     make(spec, np.array([row], dtype=np.float32)[None])
 
-    def test_values_frozen_and_copied(self):
+    @staticmethod
+    def _check_frozen_and_copied(cls, dtype):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
-        for cls, dtype, _ in GRID_TYPES:
-            source = np.zeros(spec.shape, dtype=dtype)
-            grid = cls(spec, source)
-            source[0, 0, 0] = 1
-            assert grid.values[0, 0, 0] == 0
-            with pytest.raises(ValueError):
-                grid.values[0, 0, 0] = 1
+        source = np.zeros(spec.shape, dtype=dtype)
+        grid = cls(spec, source)
+        source[0, 0, 0] = 1
+        assert grid.values[0, 0, 0] == 0
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0] = 1
+
+    def test_values_frozen_and_copied(self):
+        self._check_frozen_and_copied(Heatmap, np.float32)
+
+    def test_mask_bits_frozen_and_copied(self):
+        self._check_frozen_and_copied(PositiveMask, np.uint8)
 
     def test_adopted_array_is_frozen_not_copied_and_still_checked(self):
         spec = BevGridSpec(2, 2, 1, 1.0, 0.0, 0.0)
